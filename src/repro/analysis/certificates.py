@@ -8,14 +8,14 @@ A certificate is the machine-readable verdict of the static analyzer
   to shared input buffers, no instance or module state.  Pure kernels
   are safe to dispatch on evaluation-pool worker threads.
 * ``picklable_params`` -- the class is importable at module level (not
-  defined inside a function), so instances can cross a process boundary
-  for the planned process/shared-memory backend (ROADMAP).
+  defined inside a function), so instances could cross a process
+  boundary.
 * ``shared_memory_eligible`` -- ``pure and picklable_params``: the
   kernel could run in another process against shared-memory column
-  buffers.
+  buffers.  Recorded for the analysis report; the thread pool gates on
+  ``pure`` alone.
 * ``view_returning`` -- the kernel can return a numpy **view** aliasing
-  an input buffer (zero-copy fast paths).  Harmless for threads; a
-  process backend must materialize these results before shipping them.
+  an input buffer (zero-copy fast paths).  Harmless for threads.
 
 The :class:`CertificateRegistry` is what the evaluation pool consults,
 **fail-closed**: an operator with no certificate -- or a certificate
@@ -200,14 +200,12 @@ class CertificateRegistry:
             self._by_name.setdefault(cert.operator, cert)
         return cert
 
-    def check(self, op: Any, boundary: str = "thread") -> OperatorCertificate:
-        """Gate one operator instance; raise fail-closed when unsafe.
+    def check(self, op: Any) -> OperatorCertificate:
+        """Gate one operator instance; raise fail-closed when impure.
 
-        ``boundary`` names what the kernel is about to cross:
-        ``"thread"`` requires purity; ``"process"`` additionally
-        requires picklable parameters (``shared_memory_eligible``) --
-        the instance itself must survive a pipe and evaluate against
-        shared-memory column views in another address space.
+        Crossing the thread boundary of the evaluation pool requires
+        purity: the kernel shares its input buffers with sibling
+        worker threads.
         """
         cert = self.get(type(op))
         if not cert.pure:
@@ -216,13 +214,6 @@ class CertificateRegistry:
                 f"refusing to dispatch {type(op).__name__} off the main "
                 f"thread: {detail} (run with workers=1, or fix the kernel "
                 "and re-run `repro analyze`)"
-            )
-        if boundary == "process" and not cert.shared_memory_eligible:
-            raise UncertifiedKernelError(
-                f"refusing to ship {type(op).__name__} across a process "
-                "boundary: its parameters are not picklable (class defined "
-                "inside a function?); use backend='thread' or make the "
-                "class importable at module level"
             )
         return cert
 

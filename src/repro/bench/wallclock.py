@@ -3,16 +3,14 @@
 Everything else in :mod:`repro.bench` measures *simulated* time; this
 module measures how long the host actually takes to drive a full
 adaptive-parallelization instance (tens to hundreds of runs over the
-same query), along three axes that must all be invisible to the
+same query), along two axes that must both be invisible to the
 simulation:
 
 * the cross-run :class:`~repro.engine.memo.IntermediateCache` (cold
-  versus warm),
+  versus warm), and
 * the :class:`~repro.engine.evalpool.EvalPool` worker count (a sweep
-  over ``--workers``), and
-* the evaluation **backend** (a sweep over ``--backend``: ``thread``
-  threads share the GIL, ``process`` workers evaluate on zero-copy
-  shared-memory column views -- see :mod:`repro.engine.backends`).
+  over ``--workers``: ``workers=1`` evaluates inline, more workers run
+  ready batches on a thread pool).
 
 Because none of these layers may change what the simulation observes,
 the benchmark cross-checks that every instance produces identical
@@ -36,7 +34,6 @@ from ..config import SimulationConfig
 from ..core import AdaptiveParallelizer, ConvergenceParams
 from ..core.adaptive import AdaptiveResult, intermediates_equal
 from ..engine import execute
-from ..engine.backends import DEFAULT_BACKEND, resolve_backend_name
 from ..engine.evalpool import default_workers
 from ..errors import ReproError
 from ..operators import Calc, Fetch, GroupAggregate, RangePredicate, Scan, Select
@@ -48,8 +45,12 @@ from ..workloads import JoinMicroWorkload, TpchDataset
 #: v3 adds the backend dimension (cold runs carry a ``backend``, the
 #: report carries ``backends_swept`` and per-backend ``worker_speedup``);
 #: v4 adds the convergence-cost metrics ``runs_to_gme`` and
-#: ``total_work_ms`` per workload (shared with ``bench --convergence``).
-SCHEMA = "repro/bench_wallclock/v4"
+#: ``total_work_ms`` per workload (shared with ``bench --convergence``);
+#: v5 drops the backend dimension again (``backends_swept``,
+#: ``worker_speedup_by_backend``, ``warm_backend`` and the per-run
+#: ``backend``): the cold sweep is inline ``workers=1`` against the
+#: thread pool at each ``workers=N``.
+SCHEMA = "repro/bench_wallclock/v5"
 
 
 def q1_style_plan(dataset: TpchDataset) -> Plan:
@@ -132,35 +133,17 @@ def resolve_workers(workers: Sequence[int] | None) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def resolve_backends(backends: Sequence[str] | None) -> tuple[str, ...]:
-    """The evaluation backends to sweep (validated, deduplicated).
-
-    ``None`` sweeps only the default backend.  Unknown names raise
-    :class:`~repro.errors.BackendUnavailableError` up front rather than
-    mid-benchmark.
-    """
-    names = [DEFAULT_BACKEND] if backends is None else list(backends)
-    resolved: list[str] = []
-    for name in names:
-        name = resolve_backend_name(name)
-        if name not in resolved:
-            resolved.append(name)
-    return tuple(resolved)
-
-
 @dataclass
 class ColdRun:
-    """One uncached adaptive instance at a fixed backend x worker count."""
+    """One uncached adaptive instance at a fixed worker count."""
 
     workers: int
     seconds: float
-    backend: str = "inline"
     pool: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
             "workers": self.workers,
-            "backend": self.backend,
             "seconds": round(self.seconds, 4),
             "pool": self.pool,
         }
@@ -179,7 +162,6 @@ class WorkloadOutcome:
     cold_runs: list[ColdRun]
     warm_seconds: float
     warm_workers: int
-    warm_backend: str
     build_seconds: float
     cache: dict = field(default_factory=dict)
     identical: bool = False
@@ -197,23 +179,16 @@ class WorkloadOutcome:
     def wallclock_speedup(self) -> float:
         return self.cold_seconds / self.warm_seconds if self.warm_seconds else 0.0
 
-    def worker_speedup_by_backend(self) -> dict[str, float]:
-        """Uncached workers=1 over each backend's best parallel run."""
-        speedups: dict[str, float] = {}
-        for run in self.cold_runs:
-            if run.workers == 1:
-                continue
-            current = speedups.get(run.backend, 0.0)
-            speedup = self.cold_seconds / run.seconds if run.seconds else 0.0
-            if speedup > current:
-                speedups[run.backend] = speedup
-        return speedups
-
     @property
     def worker_speedup(self) -> float:
-        """The best parallel speedup over any swept backend."""
-        by_backend = self.worker_speedup_by_backend()
-        return max(by_backend.values()) if by_backend else 0.0
+        """Uncached workers=1 over the best pooled run (0 if none)."""
+        return max(
+            (
+                self.cold_seconds / run.seconds if run.seconds else 0.0
+                for run in self.cold_runs[1:]
+            ),
+            default=0.0,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -234,15 +209,8 @@ class WorkloadOutcome:
             "cold_seconds": round(self.cold_seconds, 4),
             "warm_seconds": round(self.warm_seconds, 4),
             "warm_workers": self.warm_workers,
-            "warm_backend": self.warm_backend,
             "wallclock_speedup": round(self.wallclock_speedup, 3),
             "worker_speedup": round(self.worker_speedup, 3),
-            "worker_speedup_by_backend": {
-                backend: round(speedup, 3)
-                for backend, speedup in sorted(
-                    self.worker_speedup_by_backend().items()
-                )
-            },
             "cache": self.cache,
             "identical": self.identical,
         }
@@ -272,11 +240,7 @@ def _identical(
     )
 
 
-def _measure(
-    spec: WorkloadSpec,
-    worker_counts: Sequence[int],
-    backends: Sequence[str],
-) -> WorkloadOutcome:
+def _measure(spec: WorkloadSpec, worker_counts: Sequence[int]) -> WorkloadOutcome:
     build_start = perf_counter()
     plan, config = spec.build()
     build_s = perf_counter() - build_start
@@ -285,21 +249,15 @@ def _measure(
     )
 
     def instance(
-        memoize: bool, workers: int, backend: str | None
+        memoize: bool, workers: int
     ) -> tuple[AdaptiveResult, float, dict, dict]:
         parallelizer = AdaptiveParallelizer(
-            config,
-            convergence=convergence,
-            memoize=memoize,
-            workers=workers,
-            backend=backend if workers > 1 else None,
+            config, convergence=convergence, memoize=memoize, workers=workers
         )
         try:
             start = perf_counter()
             result = parallelizer.optimize(plan)
             seconds = perf_counter() - start
-            # Snapshot before close: backend-specific counters are
-            # dropped once the backend is released.
             pool_stats = (
                 parallelizer.evalpool.stats().as_dict()
                 if parallelizer.evalpool is not None
@@ -314,42 +272,24 @@ def _measure(
         finally:
             parallelizer.close()
 
-    # Cold sweep first (workers ascending, workers=1 measured once --
-    # every backend evaluates inline there) so the warm instance cannot
-    # ride the OS page cache of freshly generated data more than any
-    # cold one did.
+    # Cold sweep first (workers ascending; workers=1 evaluates inline)
+    # so the warm instance cannot ride the OS page cache of freshly
+    # generated data more than any cold one did.
     cold_runs: list[ColdRun] = []
     cold_results: list[AdaptiveResult] = []
-    base_res, base_s, __, __ = instance(memoize=False, workers=1, backend=None)
-    cold_runs.append(ColdRun(workers=1, backend="inline", seconds=base_s))
-    cold_results.append(base_res)
-    for backend in backends:
-        for workers in worker_counts:
-            if workers == 1:
-                continue
-            res, seconds, pool_stats, __ = instance(
-                memoize=False, workers=workers, backend=backend
-            )
-            cold_runs.append(
-                ColdRun(
-                    workers=workers,
-                    backend=backend,
-                    seconds=seconds,
-                    pool=pool_stats,
-                )
-            )
-            cold_results.append(res)
+    for workers in worker_counts:
+        res, seconds, pool_stats, __ = instance(memoize=False, workers=workers)
+        cold_runs.append(ColdRun(workers=workers, seconds=seconds, pool=pool_stats))
+        cold_results.append(res)
 
     warm_workers = worker_counts[-1]
-    warm_backend = backends[-1] if warm_workers > 1 else "inline"
     warm_res, warm_s, __, warm_cache = instance(
-        memoize=True, workers=warm_workers, backend=backends[-1]
+        memoize=True, workers=warm_workers
     )
 
-    # One identity verdict covers all three axes: every cold backend x
-    # worker-count combination must match the workers=1 trace exactly,
-    # and the warm (memoized) instance must match it down to the query
-    # outputs.
+    # One identity verdict covers both axes: every cold worker count
+    # must match the workers=1 trace exactly, and the warm (memoized)
+    # instance must match it down to the query outputs.
     identical = all(
         _traces_equal(cold_results[0], other) for other in cold_results[1:]
     ) and _identical(cold_results[0], warm_res, config)
@@ -364,7 +304,6 @@ def _measure(
         cold_runs=cold_runs,
         warm_seconds=warm_s,
         warm_workers=warm_workers,
-        warm_backend=warm_backend,
         build_seconds=build_s,
         cache=warm_cache,
         identical=identical,
@@ -374,25 +313,16 @@ def _measure(
 
 
 def run_wallclock(
-    quick: bool = False,
-    workers: Sequence[int] | None = None,
-    backends: Sequence[str] | None = None,
+    quick: bool = False, workers: Sequence[int] | None = None
 ) -> dict:
-    """Sweep every workload over backends x worker counts; JSON report."""
+    """Sweep every workload over the worker counts; JSON report."""
     counts = resolve_workers(workers)
-    names = resolve_backends(backends)
-    outcomes = [_measure(spec, counts, names) for spec in _specs(quick)]
-    by_backend: dict[str, float] = {}
-    for outcome in outcomes:
-        for backend, speedup in outcome.worker_speedup_by_backend().items():
-            if backend not in by_backend or speedup < by_backend[backend]:
-                by_backend[backend] = speedup
+    outcomes = [_measure(spec, counts) for spec in _specs(quick)]
     return {
         "schema": SCHEMA,
         "quick": quick,
         "host_cpus": default_workers(),
         "workers_swept": list(counts),
-        "backends_swept": list(names),
         "workloads": [o.as_dict() for o in outcomes],
         "summary": {
             "min_wallclock_speedup": round(
@@ -401,10 +331,6 @@ def run_wallclock(
             "min_worker_speedup": round(
                 min(o.worker_speedup for o in outcomes), 3
             ),
-            "worker_speedup_by_backend": {
-                backend: round(speedup, 3)
-                for backend, speedup in sorted(by_backend.items())
-            },
             "max_worker_slowdown": round(
                 max(
                     run.seconds / o.cold_seconds if o.cold_seconds else 1.0
@@ -425,21 +351,13 @@ def check_report(
     min_hit_rate: float | None = None,
     min_speedup: float | None = None,
     max_worker_slowdown: float | None = None,
-    min_process_speedup: float | None = None,
 ) -> None:
     """Raise :class:`ReproError` if the report misses its gates.
 
     Used by CI: results must stay bit-identical, reuse/speedup must not
-    regress below the requested floors, and no swept backend x worker
-    combination may run more than ``max_worker_slowdown`` times slower
-    than workers=1 (parallel evaluation must never cost, only pay).
-
-    ``min_process_speedup`` gates the *process* backend's
-    ``worker_speedup`` -- the one number that proves the GIL ceiling is
-    actually broken.  The gate is skipped (not failed) when the report
-    was produced on a single-CPU host or the process backend was not
-    swept: a 1-CPU runner physically cannot demonstrate parallel
-    speedup, and CI must not punish it for that.
+    regress below the requested floors, and no swept worker count may
+    run more than ``max_worker_slowdown`` times slower than workers=1
+    (parallel evaluation must never cost, only pay).
     """
     summary = report["summary"]
     if not summary["all_identical"]:
@@ -466,41 +384,24 @@ def check_report(
             f"a pooled run was x{summary['max_worker_slowdown']:.2f} slower "
             f"than workers=1 (tolerance x{max_worker_slowdown:.2f})"
         )
-    if min_process_speedup is not None:
-        by_backend = summary.get("worker_speedup_by_backend", {})
-        if report.get("host_cpus", 1) > 1 and "process" in by_backend:
-            if by_backend["process"] < min_process_speedup:
-                raise ReproError(
-                    f"process-backend speedup x{by_backend['process']:.2f} is "
-                    f"below the required x{min_process_speedup:.2f}"
-                )
 
 
 def format_report(report: dict) -> str:
     """Human-readable rendering of a wall-clock report."""
     swept = ",".join(str(w) for w in report["workers_swept"])
-    backends = ",".join(report.get("backends_swept", ["thread"]))
     lines = [
         f"wall-clock benchmark ({'quick' if report['quick'] else 'full'} mode, "
-        f"workers {swept} x backends {backends} on a "
-        f"{report['host_cpus']}-cpu host)"
+        f"workers {swept} on a {report['host_cpus']}-cpu host)"
     ]
     for w in report["workloads"]:
         cold = " ".join(
-            f"{run['backend']}:w{run['workers']}={run['seconds']:.2f}s"
-            for run in w["cold"]
+            f"w{run['workers']}={run['seconds']:.2f}s" for run in w["cold"]
         )
-        by_backend = " ".join(
-            f"{backend} x{speedup:.2f}"
-            for backend, speedup in w.get(
-                "worker_speedup_by_backend", {}
-            ).items()
-        )
+        pool = f"x{w['worker_speedup']:.2f}" if len(w["cold"]) > 1 else "n/a"
         lines.append(
             f"  {w['name']}: {w['total_runs']} runs, cold [{cold}] -> "
             f"warm {w['warm_seconds']:.2f}s "
-            f"(memo x{w['wallclock_speedup']:.2f}, "
-            f"pool {by_backend or 'n/a'}), "
+            f"(memo x{w['wallclock_speedup']:.2f}, pool {pool}), "
             f"hit rate {w['cache']['hit_rate']:.1%}, "
             f"identical={'yes' if w['identical'] else 'NO'}"
         )
@@ -521,8 +422,7 @@ def format_report(report: dict) -> str:
                 parallel_pct = pool.get("parallel_batches", 0) / batches
                 inline_pct = pool.get("inline_jobs", 0) / jobs if jobs else 0.0
                 lines.append(
-                    f"    pool batches ({pooled['backend']}:w"
-                    f"{pooled['workers']}): {batches} total, "
+                    f"    pool batches (w{pooled['workers']}): {batches} total, "
                     f"{parallel_pct:.1%} parallel; "
                     f"{inline_pct:.1%} of jobs evaluated inline"
                 )

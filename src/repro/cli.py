@@ -134,7 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="host workers evaluating ready operators "
         "(default: usable cpu count; results are identical for any N)",
     )
-    _backend_arg(adapt)
     adapt.add_argument(
         "--verbose",
         action="store_true",
@@ -287,21 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "slower than workers=1",
     )
     bench.add_argument(
-        "--backend",
-        default=None,
-        metavar="B[,B...]",
-        help="wallclock: comma-separated evaluation backends to sweep "
-        "(e.g. 'thread,process'; default: thread)",
-    )
-    bench.add_argument(
-        "--min-process-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if the process backend's worker speedup is "
-        "below X (skipped on single-cpu hosts or when process is not swept)",
-    )
-    bench.add_argument(
         "--convergence",
         action="store_true",
         help="compare convergence policies (cold credit/debit vs "
@@ -398,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="host workers evaluating ready operators "
         "(results are identical for any N)",
     )
-    _backend_arg(chaos)
     chaos.add_argument(
         "--no-adapt",
         action="store_true",
@@ -449,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 0: the kernel picks a free one)",
     )
     _dataset_args(serve)
-    _backend_arg(serve)
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="host threads evaluating ready operators",
@@ -484,19 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gate: fail when more than this many queries were abandoned",
     )
     return parser
-
-
-def _backend_arg(parser: argparse.ArgumentParser) -> None:
-    from .engine.backends import available_backends
-
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="evaluation backend running ready-operator batches "
-        "(default: thread, or the REPRO_EVAL_BACKEND env var; "
-        "results are identical for any backend)",
-    )
 
 
 def _observe_args(parser: argparse.ArgumentParser) -> None:
@@ -618,7 +587,6 @@ def _cmd_adapt(args) -> int:
     parallelizer = AdaptiveParallelizer(
         config,
         workers=workers,
-        backend=args.backend,
         policy=args.policy,
         experience=args.experience,
     )
@@ -827,12 +795,7 @@ def _cmd_bench_wallclock(args) -> int:
             raise ReproError(
                 f"--workers wants comma-separated integers, got {args.workers!r}"
             ) from None
-    backends = None
-    if args.backend is not None:
-        backends = [
-            part.strip() for part in str(args.backend).split(",") if part.strip()
-        ]
-    report = run_wallclock(quick=args.quick, workers=workers, backends=backends)
+    report = run_wallclock(quick=args.quick, workers=workers)
     print(format_report(report))
     if args.output:
         with open(args.output, "w") as handle:
@@ -844,7 +807,6 @@ def _cmd_bench_wallclock(args) -> int:
         min_hit_rate=args.min_hit_rate,
         min_speedup=args.min_speedup,
         max_worker_slowdown=args.max_worker_slowdown,
-        min_process_speedup=args.min_process_speedup,
     )
     return 0
 
@@ -947,7 +909,6 @@ def _cmd_chaos(args) -> int:
         faults=fault_plan,
         resilience=ResilienceConfig(timeout=args.timeout),
         workers=args.workers,
-        backend=args.backend,
     )
     report = workload.run()
     print(f"workload: {args.clients} clients x {args.horizon:g}s simulated on "
@@ -1103,7 +1064,6 @@ async def _serve_async(args) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
     )
     await server.start()
     print(f"serving on {server.host}:{server.port} "
@@ -1132,7 +1092,6 @@ async def _serve_async(args) -> int:
         config=config.with_seed(spec.seed),
         catalog=dataset.catalog,
         workers=args.workers,
-        backend=args.backend,
         metrics=server.metrics,
         metrics_lock=server.metrics_lock,
     )

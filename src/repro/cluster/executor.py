@@ -46,7 +46,6 @@ def cluster_execute(
     memo: IntermediateCache | None = None,
     evalpool: EvalPool | None = None,
     workers: int | None = None,
-    backend: str | None = None,
     faults: FaultInjector | FaultPlan | None = None,
     trace: Observer | None = None,
     sanitize: bool | None = None,
@@ -70,11 +69,8 @@ def cluster_execute(
         config = SimulationConfig(machine=cluster.node)
     injector = _resolve_faults(faults, config)
     sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    own_pool = evalpool is None and (
-        backend is not None or (workers is not None and workers > 1)
-    )
-    if own_pool:
-        with EvalPool(workers, backend=backend) as pool:
+    if evalpool is None and workers is not None and workers > 1:
+        with EvalPool(workers) as pool:
             simulator = ClusterSimulator(
                 cluster,
                 config,

@@ -18,8 +18,7 @@ engine (:class:`~repro.engine.scheduler.Simulator`) with three things:
   dimension on the task (next to cpu and memory): the operator
   completes only when all three are drained, so wire time flows through
   the same collect/evaluate/commit barrier and the same ``_advance``
-  loop as every other cost -- bit-identical at any worker count or
-  backend.
+  loop as every other cost -- bit-identical at any worker count.
 
 * **The node dimension.**  Multi-node runs stamp ``node`` on task spans
   and per-node counters on the metrics registry.  Single-node clusters

@@ -161,7 +161,6 @@ class ResilientWorkload:
         faults: FaultInjector | FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
         workers: int | None = None,
-        backend: str | None = None,
         observe: Observer | None = None,
     ) -> None:
         if horizon <= 0:
@@ -176,7 +175,6 @@ class ResilientWorkload:
             faults = FaultInjector(faults, seed=config.derive_seed("chaos"))
         self.faults = faults
         self.workers = workers
-        self.backend = backend
         # Observability: service-level decisions (retries, timeouts,
         # disconnect handling, DOP shedding, admission waits) become
         # ``service`` events and ``repro_service_*`` metrics, on top of
@@ -198,9 +196,8 @@ class ResilientWorkload:
         injector = self.faults.spawn() if self.faults is not None else None
         res = self.resilience
         pool = (
-            EvalPool(self.workers, backend=self.backend)
-            if self.backend is not None
-            or (self.workers is not None and self.workers > 1)
+            EvalPool(self.workers)
+            if self.workers is not None and self.workers > 1
             else None
         )
         obs = self.observe
@@ -364,8 +361,6 @@ class ResilientWorkload:
             simulator.run()
         finally:
             if pool is not None:
-                # Snapshot before close: backend-specific counters are
-                # dropped once the backend is released.
                 pool_stats = pool.stats()
                 pool.close()
         for state in states:

@@ -62,14 +62,20 @@ Runner = Callable[[Plan, int], ExecutionResult]
 
 
 def intermediates_equal(a: Intermediate, b: Intermediate) -> bool:
-    """Value equality between two operator results (for verification)."""
+    """Value equality between two operator results (for verification).
+
+    NaN equals NaN: an aggregate such as ``0/0`` is ``nan`` in both the
+    serial and the parallel plan, and that is agreement.
+    """
     if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return bool(np.isclose(a.value, b.value, rtol=1e-9, atol=1e-9))
+        return bool(
+            np.isclose(a.value, b.value, rtol=1e-9, atol=1e-9, equal_nan=True)
+        )
     if isinstance(a, Candidates) and isinstance(b, Candidates):
         return np.array_equal(a.oids, b.oids)
     if isinstance(a, BAT) and isinstance(b, BAT):
         return np.array_equal(a.head, b.head) and bool(
-            np.allclose(a.tail, b.tail, rtol=1e-9, atol=1e-9)
+            np.allclose(a.tail, b.tail, rtol=1e-9, atol=1e-9, equal_nan=True)
         )
     if isinstance(a, ColumnSlice) and isinstance(b, ColumnSlice):
         return a.column is b.column and a.lo == b.lo and a.hi == b.hi
@@ -173,7 +179,6 @@ class AdaptiveParallelizer:
         mutations_per_run: int = 1,
         memoize: bool = True,
         workers: int | None = None,
-        backend: str | None = None,
         faults: FaultInjector | FaultPlan | None = None,
         fault_retries: int = 5,
         observe: Observer | None = None,
@@ -207,16 +212,13 @@ class AdaptiveParallelizer:
             IntermediateCache() if memoize else None
         )
         # Host evaluation pool: every run's simultaneously-ready
-        # operators are evaluated on ``workers`` host workers of the
-        # selected ``backend`` (thread / process / inline -- see
-        # repro.engine.backends), with a dispatch-order commit barrier
-        # keeping simulated results bit-identical for any worker count
-        # and backend.  With neither argument the instance evaluates
-        # inline; the pool is shared across all runs of the instance.
+        # operators are evaluated on ``workers`` host threads, with a
+        # dispatch-order commit barrier keeping simulated results
+        # bit-identical for any worker count.  Without ``workers > 1``
+        # the instance evaluates inline; the pool is shared across all
+        # runs of the instance.
         self.evalpool: EvalPool | None = (
-            EvalPool(workers, backend=backend)
-            if backend is not None or (workers is not None and workers > 1)
-            else None
+            EvalPool(workers) if workers is not None and workers > 1 else None
         )
         # Chaos harness: the robustness experiment (Figure 18 under
         # faults) runs the whole adaptive loop with injected operator

@@ -1,11 +1,5 @@
 """Discrete-event multi-core execution engine."""
 
-from .backends import (
-    EvalBackend,
-    available_backends,
-    register_backend,
-    resolve_backend_name,
-)
 from .evalpool import EvalFailure, EvalPool, PoolStats, default_workers, settle_job
 from .executor import execute
 from .machine import HardwareThread, MachineState
@@ -16,7 +10,6 @@ from .scheduler import ExecutionResult, Simulator
 
 __all__ = [
     "CacheStats",
-    "EvalBackend",
     "EvalFailure",
     "EvalPool",
     "ExecutionResult",
@@ -28,10 +21,7 @@ __all__ = [
     "PoolStats",
     "QueryProfile",
     "Simulator",
-    "available_backends",
     "default_workers",
     "execute",
-    "register_backend",
-    "resolve_backend_name",
     "settle_job",
 ]

@@ -6,25 +6,22 @@ serially on one host core.  Every dispatch round of
 :class:`~repro.engine.scheduler.Simulator` collects the operators whose
 inputs are all materialized -- by construction they are mutually
 independent, so their host evaluation is embarrassingly parallel.  The
-:class:`EvalPool` runs one such batch on a pluggable **evaluation
-backend** (:mod:`repro.engine.backends`) -- ``inline``, ``thread``, or
-``process`` -- and returns results **in submission order**.
+:class:`EvalPool` runs one such batch on a persistent
+``ThreadPoolExecutor`` and returns results **in submission order**.
 
 Determinism contract: the pool only ever computes pure functions of
 already-materialized inputs, and the scheduler consumes the results
 through a dispatch-order commit barrier (see
 ``Simulator._commit_dispatch``).  Simulated times, noise draws, memo
 counters, profiles, and query outputs are therefore bit-identical for
-any worker count *and any backend*, including ``workers=1`` (which
-evaluates inline and never starts a thread or process).
+any worker count, including ``workers=1`` (which evaluates inline and
+never starts a thread).
 
 That contract is *enforced*, not assumed: when the scheduler hands the
 pool the operators behind a batch (``run_batch(jobs, ops=...)``), every
 operator class is checked against its parallel-safety certificate
 (:mod:`repro.analysis.certificates`) before any work leaves the main
-thread -- and the check is boundary-aware: crossing a *process*
-boundary additionally requires ``shared_memory_eligible`` (pure and
-picklable).  The gate is **fail-closed** -- an operator with no
+thread.  The gate is **fail-closed** -- an operator with no
 certificate, or whose static analysis found effects, raises
 :class:`~repro.errors.UncertifiedKernelError` instead of being
 dispatched.  Inline evaluation (``workers=1`` or a below-threshold
@@ -35,7 +32,8 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
@@ -168,9 +166,7 @@ class PoolStats:
     """Host-side counters of one :class:`EvalPool` (immutable snapshot).
 
     All values are numeric -- the observability layer exports every
-    entry of :meth:`as_dict` as a gauge (``float(value)``), so the
-    backend *name* is deliberately not part of the stats (it lives on
-    :attr:`EvalPool.backend`).
+    entry of :meth:`as_dict` as a gauge (``float(value)``).
     """
 
     batches: int = 0
@@ -179,13 +175,10 @@ class PoolStats:
     inline_jobs: int = 0
     eval_seconds: float = 0.0
     max_batch: int = 0
-    #: Backend-specific numeric counters (e.g. ``shipped_jobs`` and
-    #: ``published_bytes`` for the process backend); empty otherwise.
-    backend_stats: dict[str, float | int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float | int]:
         """JSON-ready counters (used by the wall-clock benchmark)."""
-        doc: dict[str, float | int] = {
+        return {
             "batches": self.batches,
             "parallel_batches": self.parallel_batches,
             "jobs": self.jobs,
@@ -193,48 +186,34 @@ class PoolStats:
             "eval_seconds": round(self.eval_seconds, 4),
             "max_batch": self.max_batch,
         }
-        doc.update(self.backend_stats)
-        return doc
 
 
 class EvalPool:
     """Evaluates batches of independent jobs, preserving batch order.
 
-    ``workers=1`` is the degenerate inline pool: no threads or processes
-    are created and ``run_batch`` is a plain loop.  ``workers>1`` lazily
-    instantiates the selected backend on first use and keeps it alive
-    across batches (an adaptive instance runs tens of thousands of
-    dispatch rounds; worker startup must not be paid per round).
-
-    ``backend`` picks where parallel batches run -- ``"inline"``,
-    ``"thread"`` (default), or ``"process"`` (see
-    :mod:`repro.engine.backends`); ``None`` defers to the
-    ``REPRO_EVAL_BACKEND`` environment variable.
+    ``workers=1`` is the degenerate inline pool: no threads are created
+    and ``run_batch`` is a plain loop.  ``workers>1`` lazily starts a
+    ``ThreadPoolExecutor`` on the first parallel batch and keeps it
+    alive across batches (an adaptive instance runs tens of thousands
+    of dispatch rounds; worker startup must not be paid per round).
     """
 
     def __init__(
         self,
         workers: int | None = None,
         *,
-        backend: str | None = None,
         certificates: Any = None,
     ) -> None:
-        from .backends import resolve_backend_name
-
         workers = default_workers() if workers is None else int(workers)
         if workers < 1:
             raise ReproError(f"evaluation pool needs >= 1 worker, got {workers}")
         self.workers = workers
-        #: Resolved backend name; validation (and any
-        #: ``BackendUnavailableError``) happens eagerly here so callers
-        #: fail at pool construction, not mid-run.
-        self.backend = resolve_backend_name(backend)
         #: Parallel-safety certificate registry consulted before any
         #: operator-backed batch goes parallel.  ``None`` means the
         #: process-wide default registry, resolved lazily on first use
         #: so pools for thunk-only callers never pay for it.
         self._certificates = certificates
-        self._backend_impl: Any = None
+        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
         self._batches = 0
         self._parallel_batches = 0
@@ -249,29 +228,28 @@ class EvalPool:
         self.observe = None
 
     # ------------------------------------------------------------------
-    def _gate(self, ops: Sequence[Any], boundary: str) -> None:
+    def _gate(self, ops: Sequence[Any]) -> None:
         """Refuse uncertified kernels before they leave the main thread."""
         if self._certificates is None:
             from ..analysis.certificates import default_registry
 
             self._certificates = default_registry()
         for op in ops:
-            self._certificates.check(op, boundary)
+            self._certificates.check(op)
 
-    def _ensure_backend(self) -> Any:
-        if self._backend_impl is None:
+    def _ensure_executor(self) -> ThreadPoolExecutor:
+        if self._executor is None:
             if self._closed:
                 raise ReproError("evaluation pool is closed")
-            from .backends import create_backend
-
-            self._backend_impl = create_backend(self.backend, self.workers)
-        return self._backend_impl
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-eval"
+            )
+        return self._executor
 
     def run_batch(
         self,
         jobs: Sequence[Callable[[], Any]],
         ops: Sequence[Any] | None = None,
-        inputs: Sequence[Sequence[Any]] | None = None,
     ) -> list[Any]:
         """Evaluate every job; results come back in ``jobs`` order.
 
@@ -280,14 +258,9 @@ class EvalPool:
         would have raised first), after all submitted jobs have run.
 
         ``ops`` are the operator instances behind the jobs (aligned
-        with ``jobs``); when given, each is certificate-checked against
-        the backend's boundary before the batch goes parallel.
-        ``inputs`` are the per-job input intermediates (aligned too) --
-        the process backend evaluates from ``(op, inputs)`` payloads
-        instead of closures, which cannot cross a process boundary.
-        Thunk-only callers pass neither and are not gated -- they own
-        their thread-safety story (and fall back to the main thread
-        under the process backend).
+        with ``jobs``); when given, each is certificate-checked before
+        the batch goes parallel.  Thunk-only callers pass none and are
+        not gated -- they own their thread-safety story.
         """
         n = len(jobs)
         self._batches += 1
@@ -303,27 +276,23 @@ class EvalPool:
             ).observe(float(n))
         start = perf_counter()
         try:
-            if (
-                self.workers == 1
-                or n < MIN_PARALLEL_BATCH
-                or self.backend == "inline"
-            ):
+            if self.workers == 1 or n < MIN_PARALLEL_BATCH:
                 self._inline_jobs += n
                 return [job() for job in jobs]
-            backend = self._ensure_backend()
+            executor = self._ensure_executor()
             if ops is not None:
-                self._gate(ops, backend.boundary)
+                self._gate(ops)
             self._parallel_batches += 1
-            return backend.run(jobs, ops, inputs)
+            futures: list[Future[Any]] = [executor.submit(job) for job in jobs]
+            # ``result()`` re-raises in submission order, which is the
+            # dispatch order -- identical to the serial engine.
+            return [future.result() for future in futures]
         finally:
             self._eval_seconds += perf_counter() - start
 
     # ------------------------------------------------------------------
     def stats(self) -> PoolStats:
         """An immutable snapshot of the pool's host-side counters."""
-        extra: dict[str, float | int] = {}
-        if self._backend_impl is not None:
-            extra = dict(self._backend_impl.extra_stats())
         return PoolStats(
             batches=self._batches,
             parallel_batches=self._parallel_batches,
@@ -331,20 +300,19 @@ class EvalPool:
             inline_jobs=self._inline_jobs,
             eval_seconds=self._eval_seconds,
             max_batch=self._max_batch,
-            backend_stats=extra,
         )
 
     def close(self) -> None:
-        """Release the backend (idempotent, safe to call from atexit).
+        """Shut the worker threads down (idempotent, safe from atexit).
 
         After close the pool refuses new parallel batches instead of
         silently respawning workers; inline evaluation still works, so a
         close racing a final below-threshold batch cannot crash.
         """
         self._closed = True
-        impl, self._backend_impl = self._backend_impl, None
-        if impl is not None:
-            impl.close()
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "EvalPool":
         return self
@@ -353,7 +321,4 @@ class EvalPool:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"EvalPool(workers={self.workers}, backend={self.backend!r}, "
-            f"batches={self._batches})"
-        )
+        return f"EvalPool(workers={self.workers}, batches={self._batches})"

@@ -45,7 +45,6 @@ def execute(
     memo: IntermediateCache | None = None,
     evalpool: EvalPool | None = None,
     workers: int | None = None,
-    backend: str | None = None,
     faults: FaultInjector | FaultPlan | None = None,
     trace: Observer | None = None,
     sanitize: bool | None = None,
@@ -66,14 +65,10 @@ def execute(
     identical with or without it.
 
     ``evalpool`` shares an :class:`~repro.engine.evalpool.EvalPool` that
-    evaluates simultaneously-ready operators on host workers; passing
-    ``workers=N`` (and/or ``backend=...``) instead spins up -- and tears
-    down -- a pool for just this call.  ``backend`` selects where the
-    parallel batches run: ``"inline"``, ``"thread"``, or ``"process"``
-    (see :mod:`repro.engine.backends`); when only ``backend`` is given
-    the worker count defaults to
-    :func:`~repro.engine.evalpool.default_workers`.  Simulated results
-    are bit-identical for any worker count and any backend.
+    evaluates simultaneously-ready operators on host worker threads;
+    passing ``workers=N`` instead spins up -- and tears down -- a pool
+    for just this call.  Simulated results are bit-identical for any
+    worker count.
 
     ``faults`` injects chaos: pass a
     :class:`~repro.chaos.faults.FaultPlan` (an injector is derived from
@@ -112,10 +107,8 @@ def execute(
         config = SimulationConfig()
     injector = _resolve_faults(faults, config)
     sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    if evalpool is None and (
-        backend is not None or (workers is not None and workers > 1)
-    ):
-        with EvalPool(workers, backend=backend) as pool:
+    if evalpool is None and workers is not None and workers > 1:
+        with EvalPool(workers) as pool:
             simulator = Simulator(
                 config,
                 memo=memo,

@@ -577,7 +577,6 @@ class Simulator:
         memo = self.memo
         jobs: list[Callable[[], tuple[Intermediate, WorkProfile]]] = []
         ops: list[Operator] = []
-        job_inputs: list[list[Intermediate]] = []
         job_of_fp: dict[bytes, int] = {}
         for entry in batch:
             sub, node = entry.sub, entry.node
@@ -602,7 +601,6 @@ class Simulator:
             inputs = [sub.values[child.nid] for child in node.inputs]
             jobs.append(settle_job(_make_eval_job(node.op, inputs)))
             ops.append(node.op)
-            job_inputs.append(inputs)
         obs = self.observe
         if obs is not None and jobs:
             # The job list is a pure function of dispatch order and memo
@@ -618,7 +616,7 @@ class Simulator:
         if not jobs:
             return []
         if self.evalpool is not None:
-            return self.evalpool.run_batch(jobs, ops, job_inputs)
+            return self.evalpool.run_batch(jobs, ops)
         return [job() for job in jobs]
 
     def _commit_dispatch(
@@ -824,34 +822,11 @@ class Simulator:
         else:
             del demand[socket]
 
-    def _rates(self) -> list[tuple[float, float]]:
-        """(cpu_rate, mem_rate) for each running task, given contention.
-
-        Kept for instrumentation; the event loop inlines the same math.
-        """
-        machine = self.machine
-        socket_demand = self._socket_mem_demand
-        socket_bw = self.config.machine.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = self.config.machine.numa_remote_factor
-        rates = []
-        for task in self._tasks:
-            cpu_rate = machine.compute_rate(task.thread)
-            n_mem = socket_demand.get(task.thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = min(thread_cap, socket_bw / n_mem)
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            rates.append((cpu_rate, mem_rate))
-        return rates
-
     def _advance(self) -> None:
         # The innermost simulator loop: runs once per event over every
         # running task, so the rate model is inlined (same math as
-        # ``_rates``/``MachineState.compute_rate``) and per-task values
-        # are kept in parallel lists instead of tuples.
+        # ``MachineState.compute_rate``) and per-task values are kept in
+        # parallel lists instead of tuples.
         tasks = self._tasks
         spec = self.config.machine
         core_busy = self.machine._core_busy

@@ -90,17 +90,6 @@ class UncertifiedKernelError(ReproError):
     """
 
 
-class BackendUnavailableError(ReproError):
-    """The requested evaluation backend cannot run on this host.
-
-    Raised when backend resolution names an unregistered backend, when
-    the process backend's prerequisites (``multiprocessing.shared_memory``,
-    the requested start method) are missing, or when a registered stub
-    (``subinterpreter``) has no implementation yet.  Callers fall back
-    explicitly -- never silently -- to ``thread`` or ``inline``.
-    """
-
-
 class SanitizerError(ReproError):
     """The runtime sanitizer detected a violated execution invariant.
 

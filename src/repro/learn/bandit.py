@@ -10,9 +10,8 @@ incumbent has been confirmed.
 Determinism contract: the advisor owns a private seeded generator and
 every draw happens on the simulator's main thread in run order (the
 adaptive loop calls :meth:`select` once per run), so a fixed seed
-reproduces the exact pull sequence regardless of host ``workers`` or
-evaluation ``backend`` -- the same rule the noise and chaos streams
-follow.
+reproduces the exact pull sequence regardless of host ``workers`` --
+the same rule the noise and chaos streams follow.
 """
 
 from __future__ import annotations

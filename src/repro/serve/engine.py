@@ -13,8 +13,8 @@ the plan cache and memo make repeated statements cheap on the host.
 ``canonical=True`` requests are executed solo with a fresh
 :class:`~repro.observe.Observer` and *without* the memo, so the
 canonical observation bytes depend only on (plan, config): identical
-for every backend and worker count.  The integration suite uses this
-as its cross-backend oracle.
+for every worker count.  The integration suite uses this as its
+cross-worker oracle.
 
 ``close()`` is graceful by construction: a sentinel is enqueued behind
 every accepted job, the thread finishes everything in front of it, and
@@ -128,10 +128,10 @@ class _Job:
 class ServeEngine:
     """SQL text in, result payload futures out; one worker thread.
 
-    Parameters mirror :func:`repro.engine.execute`: ``workers``/
-    ``backend`` configure the shared :class:`EvalPool` (``workers=1``
-    or ``None`` runs inline), ``memoize`` the shared intermediate
-    cache.  ``start()`` and ``close()`` are idempotent.
+    Parameters mirror :func:`repro.engine.execute`: ``workers``
+    configures the shared :class:`EvalPool` (``workers=1`` or ``None``
+    runs inline), ``memoize`` the shared intermediate cache.
+    ``start()`` and ``close()`` are idempotent.
     """
 
     def __init__(
@@ -140,7 +140,6 @@ class ServeEngine:
         catalog: Catalog | dict[str, Table],
         *,
         workers: int | None = None,
-        backend: str | None = None,
         memoize: bool = True,
         max_batch: int = MAX_BATCH,
     ) -> None:
@@ -150,7 +149,6 @@ class ServeEngine:
         self.plans = PlanCache(catalog)
         self.stats = EngineStats()
         self._workers = workers
-        self._backend = backend
         self._memo = IntermediateCache() if memoize else None
         self._max_batch = max_batch
         self._pool: EvalPool | None = None
@@ -173,10 +171,8 @@ class ServeEngine:
             if self._closed:
                 raise ServeError("engine is closed")
             if self._thread is None:
-                if (self._workers or 1) > 1 or self._backend is not None:
-                    self._pool = EvalPool(
-                        self._workers or 1, backend=self._backend
-                    )
+                if (self._workers or 1) > 1:
+                    self._pool = EvalPool(self._workers)
                 self._thread = threading.Thread(
                     target=self._run, name="repro-serve-engine", daemon=True
                 )
@@ -328,7 +324,7 @@ class ServeEngine:
 
     def _execute_canonical(self, job: _Job) -> None:
         # Solo run, fresh observer, no memo: canonical bytes depend on
-        # (plan, config) only -- backend- and history-invariant.
+        # (plan, config) only -- worker- and history-invariant.
         try:
             plan = self.plans.template(job.sql).copy()
         except ReproError as exc:

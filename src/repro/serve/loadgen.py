@@ -7,7 +7,7 @@ Two drivers over the same tenant mixes:
   TPC-H dataset and runs thousands of closed-loop clients in
   *simulated* time.  Same seed, same preset => byte-identical
   :class:`~repro.serve.report.ServeReport` JSON on any host, any
-  worker count, any backend -- the golden fixtures under
+  worker count -- the golden fixtures under
   ``tests/serve/golden/`` hold exactly these bytes, clean and under
   ``CHAOS_LIGHT``.
 * :func:`drive_live` -- the socket path.  Opens real NDJSON
@@ -183,7 +183,6 @@ def build_service(
     catalog: Catalog | None = None,
     directory: TenantDirectory | None = None,
     workers: int | None = None,
-    backend: str | None = None,
     metrics: MetricsRegistry | None = None,
     metrics_lock=None,
 ) -> TenantLoadService:
@@ -218,7 +217,6 @@ def build_service(
         faults=chaos_plan(spec.chaos),
         max_in_flight=spec.max_in_flight,
         workers=workers,
-        backend=backend,
         chaos_label=spec.chaos,
         metrics=metrics,
         metrics_lock=metrics_lock,
@@ -229,7 +227,6 @@ def run_loadgen(
     spec: LoadgenSpec,
     *,
     workers: int | None = None,
-    backend: str | None = None,
     metrics: MetricsRegistry | None = None,
     metrics_lock=None,
 ) -> ServeReport:
@@ -237,7 +234,6 @@ def run_loadgen(
     service = build_service(
         spec,
         workers=workers,
-        backend=backend,
         metrics=metrics,
         metrics_lock=metrics_lock,
     )

@@ -10,8 +10,8 @@ per ``\\n``-terminated line) over TCP -- trivially scriptable with
   plan + execute; answered with rows, simulated latency, and queueing
   info, or a typed error (``rejected``, ``sql``, ``internal``).
   ``"canonical": true`` additionally returns the byte-stable canonical
-  observation of the execution (identical for any backend/worker
-  count) -- the integration suite's cross-backend oracle.
+  observation of the execution (identical for any worker count) --
+  the integration suite's cross-worker oracle.
 * ``{"op": "ping"}`` / ``{"op": "goodbye"}`` -- liveness and orderly
   close.
 

@@ -84,15 +84,12 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int | None = None,
-        backend: str | None = None,
         max_in_flight: int | None = None,
         engine: ServeEngine | None = None,
     ) -> None:
         self.config = config
         self.directory = tenants if tenants is not None else default_tenants()
-        self.engine = engine or ServeEngine(
-            config, catalog, workers=workers, backend=backend
-        )
+        self.engine = engine or ServeEngine(config, catalog, workers=workers)
         if max_in_flight is None:
             max_in_flight = 2 * config.machine.hardware_threads
         self.scheduler = FairScheduler(

@@ -7,7 +7,7 @@ per-class timeouts and bounded retries, DOP shedding, chaos tolerance
 concurrent clients and their full latency distributions are computed
 deterministically: one seed gives a byte-identical
 :class:`~repro.serve.report.ServeReport` at any host worker count,
-with any evaluation backend, on any machine.
+on any machine.
 
 The load generator (:mod:`repro.serve.loadgen`) builds its SLO reports
 on this class; the asyncio server shares the scheduler and tenant
@@ -118,7 +118,6 @@ class TenantLoadService:
         resilience: ResilienceConfig | None = None,
         max_in_flight: int | None = None,
         workers: int | None = None,
-        backend: str | None = None,
         memoize: bool = True,
         chaos_label: str | None = None,
         metrics: MetricsRegistry | None = None,
@@ -152,7 +151,6 @@ class TenantLoadService:
             else 2 * config.machine.hardware_threads
         )
         self.workers = workers
-        self.backend = backend
         self.memoize = memoize
         # Live metrics (optional): scraped by the asyncio /metrics
         # endpoint *while* the run progresses on another thread, hence
@@ -193,9 +191,8 @@ class TenantLoadService:
         injector = self.faults.spawn() if self.faults is not None else None
         res = self.resilience
         pool = (
-            EvalPool(self.workers, backend=self.backend)
-            if self.backend is not None
-            or (self.workers is not None and self.workers > 1)
+            EvalPool(self.workers)
+            if self.workers is not None and self.workers > 1
             else None
         )
         memo = IntermediateCache() if self.memoize else None

@@ -1,6 +1,6 @@
 """Cluster execution: scaling, network accounting, metrics, failover.
 
-The nodes=1 byte-identity and the workers/backend invariance live in
+The nodes=1 byte-identity and the worker-count invariance live in
 ``tests/integration/test_determinism_matrix.py``; here we pin the
 *cluster-specific* physics -- shared-nothing speedup, the wire cost of
 a paid placement move, per-node observability labels -- and the

@@ -198,6 +198,44 @@ class TestIntermediatesEqual:
 
         assert not intermediates_equal(Scalar(1, LNG), Candidates(np.array([1])))
 
+    def test_nan_scalar_equals_itself(self):
+        # TPC-H q8 at SF1, seed 12 divides 0 by 0: both the serial and
+        # every parallel plan return NaN, and that is agreement.
+        from repro.workloads import TpchDataset
+
+        dataset = TpchDataset(scale_factor=1, seed=12)
+        with np.errstate(invalid="ignore"):
+            result = execute(dataset.plan("q8"), dataset.sim_config())
+        (output,) = result.outputs
+        assert isinstance(output, Scalar) and np.isnan(output.value)
+        assert intermediates_equal(output, output)
+        assert not intermediates_equal(output, Scalar(0.0, DBL))
+
+    def test_nan_bat_tail_equals_itself(self):
+        from repro.storage import BAT
+
+        a = BAT(np.array([0, 1, 2]), np.array([1.0, np.nan, 3.0]), DBL)
+        b = BAT(np.array([0, 1, 2]), np.array([1.0, np.nan, 3.0]), DBL)
+        assert intermediates_equal(a, b)
+        c = BAT(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), DBL)
+        assert not intermediates_equal(a, c)
+
+    def test_verify_accepts_nan_output(self):
+        from repro.workloads import TpchDataset
+
+        dataset = TpchDataset(scale_factor=1, seed=12)
+        config = dataset.sim_config()
+        parallelizer = AdaptiveParallelizer(
+            config,
+            verify=True,
+            convergence=ConvergenceParams(
+                number_of_cores=config.effective_threads, max_runs=3
+            ),
+        )
+        with np.errstate(invalid="ignore"):
+            result = parallelizer.optimize(dataset.plan("q8"))
+        assert result.total_runs == 3
+
 
 class TestPlanHistory:
     def test_choose_prefers_best(self, catalog):

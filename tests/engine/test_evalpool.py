@@ -17,8 +17,14 @@ from repro.config import SimulationConfig, laptop_machine
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.core.adaptive import intermediates_equal
 from repro.engine import EvalPool, IntermediateCache, execute
-from repro.engine.evalpool import MIN_PARALLEL_BATCH, default_workers
+from repro.engine.evalpool import (
+    MIN_PARALLEL_BATCH,
+    EvalFailure,
+    default_workers,
+    settle_job,
+)
 from repro.errors import ReproError
+from repro.observe import Observer
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 from repro.workloads import JoinMicroWorkload, TpchDataset
@@ -72,6 +78,41 @@ class TestEvalPool:
                 stats.jobs = 0  # type: ignore[misc]
             assert stats.jobs == 3
             assert stats.max_batch == 3
+
+    def test_settled_failure_does_not_abort_siblings(self):
+        def boom():
+            raise ValueError("boom")
+
+        with EvalPool(4) as pool:
+            failed, ok = pool.run_batch([settle_job(boom), lambda: 2])
+        assert isinstance(failed, EvalFailure)
+        assert isinstance(failed.error, ValueError)
+        assert ok == 2
+
+    def test_stats_dict_and_batch_histogram(self):
+        observer = Observer()
+        with EvalPool(2) as pool:
+            pool.observe = observer
+            pool.run_batch([lambda: 1, lambda: 2, lambda: 3])
+            pool.run_batch([lambda: 4])
+            doc = pool.stats().as_dict()
+        assert doc["batches"] == 2 and doc["jobs"] == 4
+        assert doc["parallel_batches"] == 1 and doc["inline_jobs"] == 1
+        assert doc["max_batch"] == 3
+        histogram = observer.metrics.collect()["repro_pool_batch_jobs"]
+        assert histogram["count"] == 2 and histogram["sum"] == 4
+
+    def test_close_is_idempotent_and_refuses_parallel_batches(self):
+        pool = EvalPool(4)
+        pool.run_batch([lambda: 1, lambda: 2])
+        pool.close()
+        pool.close()  # atexit-safe
+        # Inline evaluation still works after close (a close racing a
+        # final below-threshold batch must not crash) ...
+        assert pool.run_batch([lambda: 3]) == [3]
+        # ... but new parallel batches refuse instead of respawning.
+        with pytest.raises(ReproError, match="closed"):
+            pool.run_batch([lambda: 1, lambda: 2])
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1

@@ -2,12 +2,13 @@
 
 One consolidated sweep replaces the per-suite loops that used to live in
 ``tests/engine/test_backends.py`` (execute / adaptive / chaos canonical
-bytes) and ``tests/serve/test_loadgen_determinism.py`` (worker-count and
-process-backend invariance).  Each *scenario* reduces a run to a
-canonical byte fingerprint (blake2b over worker-invariant bytes); each
-*cell* re-runs the scenario at a different evaluation surface
-(backend x workers) and must reproduce the inline, workers=1 baseline
-digest exactly.
+bytes) and ``tests/serve/test_loadgen_determinism.py`` (worker-count
+invariance).  Each *scenario* reduces a run to a canonical byte
+fingerprint (blake2b over worker-invariant bytes).  The inline,
+workers=1 baseline of every scenario is pinned as a literal digest, so
+drift in the inline path itself fails too; each *cell* re-runs the
+scenario on the thread pool at a different worker count and must
+reproduce that digest exactly.
 
 Scenario axes covered:
 
@@ -30,7 +31,6 @@ import json
 
 import pytest
 
-import repro.engine.backends as backends
 from repro.chaos import CHAOS_LIGHT
 from repro.chaos.faults import FaultPlan
 from repro.cluster import (
@@ -41,19 +41,26 @@ from repro.cluster import (
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import EvalPool, execute
-from repro.engine.shm import shared_memory_available
 from repro.observe import Observer
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 from repro.serve import preset, run_loadgen
 from repro.workloads import JoinMicroWorkload
 
-#: (backend, workers) cells checked against the inline workers=1 baseline.
-CELLS = (("thread", 2), ("thread", 8), ("process", 2))
+#: Thread-pool worker counts checked against the inline baseline.
+CELLS = (2, 8)
 
-#: Scenarios whose engine runs must force process shipping (the test
-#: datasets are below the 16 KiB inline threshold otherwise).
-SHIP_EVERYTHING = {"execute", "adaptive_memo", "chaos_resilient"}
+#: The inline, workers=1 digest of every scenario.  A change here is a
+#: change to simulated results or canonical bytes: a bug, not a refresh.
+PINNED = {
+    "adaptive_memo": "9d4ac7875ed4801f389f1c1fbbfcb7b3",
+    "chaos_resilient": "9c716bbe5a27db5af12d7a4e7c7b0c13",
+    "cluster_failover_chaos": "145ec3511dee71d27078efa77977d779",
+    "cluster_nodes1": "4b1f4713f5e788166698d142a5045bc0",
+    "cluster_nodes3": "ed9334ddf4053067b52ddd785795a6ad",
+    "execute": "dea4f406a3b1c9db25e56e596a9edb23",
+    "serve": "f5149767ac5a79b8d8e7b04c09db7318",
+}
 
 
 def _digest(payload: str) -> str:
@@ -71,13 +78,8 @@ def _q1_style_plan(catalog):
     return builder.build(builder.aggregate("sum", proj))
 
 
-def _scenario_execute(workers, backend, small_catalog, sim_config):
-    result = execute(
-        _q1_style_plan(small_catalog),
-        sim_config,
-        workers=workers,
-        backend=backend,
-    )
+def _scenario_execute(workers, small_catalog, sim_config):
+    result = execute(_q1_style_plan(small_catalog), sim_config, workers=workers)
     return _digest(
         _json(
             {
@@ -88,13 +90,12 @@ def _scenario_execute(workers, backend, small_catalog, sim_config):
     )
 
 
-def _scenario_adaptive_memo(workers, backend, small_catalog, sim_config):
+def _scenario_adaptive_memo(workers, small_catalog, sim_config):
     workload = JoinMicroWorkload(outer_mb=64, inner_mb=16)
     parallelizer = AdaptiveParallelizer(
         workload.sim_config(seed=11),
         convergence=ConvergenceParams(number_of_cores=8, max_runs=6),
         workers=workers,
-        backend=backend,
     )
     try:
         result = parallelizer.optimize(workload.plan())
@@ -115,7 +116,7 @@ def _scenario_adaptive_memo(workers, backend, small_catalog, sim_config):
     )
 
 
-def _scenario_chaos_resilient(workers, backend, small_catalog, sim_config):
+def _scenario_chaos_resilient(workers, small_catalog, sim_config):
     workload = JoinMicroWorkload(outer_mb=16, inner_mb=4)
     observer = Observer()
     service = ResilientWorkload(
@@ -128,7 +129,6 @@ def _scenario_chaos_resilient(workers, backend, small_catalog, sim_config):
         faults=CHAOS_LIGHT,
         resilience=ResilienceConfig(timeout=0.05),
         workers=workers,
-        backend=backend,
         observe=observer,
     )
     service.run()
@@ -136,8 +136,8 @@ def _scenario_chaos_resilient(workers, backend, small_catalog, sim_config):
     return _digest(observer.canonical_json())
 
 
-def _scenario_serve(workers, backend, small_catalog, sim_config):
-    report = run_loadgen(preset("tiny"), workers=workers, backend=backend)
+def _scenario_serve(workers, small_catalog, sim_config):
+    report = run_loadgen(preset("tiny"), workers=workers)
     return _digest(json.dumps(report.as_dict(), sort_keys=True))
 
 
@@ -145,7 +145,7 @@ def _cluster_workload():
     return ScaleoutWorkload(tuples_m=10)
 
 
-def _scenario_cluster(workers, backend, nodes):
+def _scenario_cluster(workers, nodes):
     workload = _cluster_workload()
     cluster = workload.cluster(nodes, threads=4)
     observer = Observer()
@@ -154,7 +154,6 @@ def _scenario_cluster(workers, backend, nodes):
         cluster,
         workload.sim_config(cluster),
         workers=workers,
-        backend=backend,
         trace=observer,
     )
     observer.finish()
@@ -169,7 +168,7 @@ def _scenario_cluster(workers, backend, nodes):
     )
 
 
-def _scenario_cluster_failover(workers, backend, small_catalog, sim_config):
+def _scenario_cluster_failover(workers, small_catalog, sim_config):
     workload = _cluster_workload()
     cluster = workload.cluster(3, threads=4)
     faults = FaultPlan(
@@ -179,11 +178,7 @@ def _scenario_cluster_failover(workers, backend, small_catalog, sim_config):
         disconnect_rate=0.0,
         max_faults=1,
     )
-    pool = (
-        EvalPool(workers, backend=backend)
-        if backend is not None or workers > 1
-        else None
-    )
+    pool = EvalPool(workers) if workers > 1 else None
     try:
         outcome = execute_with_failover(
             workload.plan_for_map,
@@ -213,8 +208,8 @@ SCENARIOS = {
     "adaptive_memo": _scenario_adaptive_memo,
     "chaos_resilient": _scenario_chaos_resilient,
     "serve": _scenario_serve,
-    "cluster_nodes1": lambda w, b, *_: _scenario_cluster(w, b, 1),
-    "cluster_nodes3": lambda w, b, *_: _scenario_cluster(w, b, 3),
+    "cluster_nodes1": lambda w, *_: _scenario_cluster(w, 1),
+    "cluster_nodes3": lambda w, *_: _scenario_cluster(w, 3),
     "cluster_failover_chaos": _scenario_cluster_failover,
 }
 
@@ -227,9 +222,7 @@ def baselines():
 
 def _baseline(baselines, scenario, small_catalog, sim_config):
     if scenario not in baselines:
-        baselines[scenario] = SCENARIOS[scenario](
-            1, "inline", small_catalog, sim_config
-        )
+        baselines[scenario] = SCENARIOS[scenario](1, small_catalog, sim_config)
     return baselines[scenario]
 
 
@@ -275,25 +268,23 @@ def matrix_config():
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend,workers", CELLS, ids=lambda v: str(v))
+@pytest.mark.parametrize("workers", CELLS, ids=lambda w: f"thread-{w}")
 def test_matrix_cell_matches_baseline(
-    scenario,
-    backend,
-    workers,
-    baselines,
-    matrix_catalog,
-    matrix_config,
-    monkeypatch,
+    scenario, workers, matrix_catalog, matrix_config
 ):
-    if backend == "process" and not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory missing")
-    if backend == "process" and scenario in SHIP_EVERYTHING:
-        monkeypatch.setattr(backends, "PROCESS_MIN_SHIP_BYTES", 0)
-    expected = _baseline(baselines, scenario, matrix_catalog, matrix_config)
-    actual = SCENARIOS[scenario](workers, backend, matrix_catalog, matrix_config)
-    assert actual == expected, (
-        f"scenario {scenario!r} diverged at backend={backend} "
-        f"workers={workers}"
+    actual = SCENARIOS[scenario](workers, matrix_catalog, matrix_config)
+    assert actual == PINNED[scenario], (
+        f"scenario {scenario!r} diverged at workers={workers}"
+    )
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_matrix_baseline_matches_pinned(
+    scenario, baselines, matrix_catalog, matrix_config
+):
+    actual = _baseline(baselines, scenario, matrix_catalog, matrix_config)
+    assert actual == PINNED[scenario], (
+        f"inline scenario {scenario!r} drifted from its pinned digest"
     )
 
 
@@ -302,7 +293,7 @@ def test_matrix_baseline_is_repeatable(
     scenario, baselines, matrix_catalog, matrix_config
 ):
     expected = _baseline(baselines, scenario, matrix_catalog, matrix_config)
-    again = SCENARIOS[scenario](1, "inline", matrix_catalog, matrix_config)
+    again = SCENARIOS[scenario](1, matrix_catalog, matrix_config)
     assert again == expected
 
 
@@ -324,6 +315,4 @@ class TestClusterDegeneracy:
     def test_nodes_change_the_fingerprint(self):
         # Guard against a fingerprint that ignores the cluster: 3 nodes
         # must not hash like 1 node (different trace, different times).
-        assert _scenario_cluster(1, "inline", 1) != _scenario_cluster(
-            1, "inline", 3
-        )
+        assert _scenario_cluster(1, 1) != _scenario_cluster(1, 3)

@@ -1,10 +1,10 @@
-"""Full stack, SQL text to served bytes, across evaluation backends.
+"""Full stack, SQL text to served bytes, inline and on the thread pool.
 
 The serving layer's headline claim: what a client receives for a given
-statement is a function of (statement, config) only -- not of which
-pool backend evaluated it, how many workers the host had, or what the
-server executed before.  These tests drive real sockets end to end and
-diff the bytes.
+statement is a function of (statement, config) only -- not of whether
+kernels ran inline or on the evaluation thread pool, how many workers
+the host had, or what the server executed before.  These tests drive
+real sockets end to end and diff the bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.engine.backends import available_backends
 from repro.serve import ServeEngine, ReproServer, preset, run_loadgen
 from repro.workloads import TpchDataset
 
@@ -28,19 +27,14 @@ Q6 = (
 )
 ACCTBAL = "SELECT COUNT(*) FROM customer WHERE c_acctbal > 0"
 
-#: Backends exercised cross-stack.  ``subinterpreter`` is covered by
-#: the backend suite; the serving layer cares about the three shipped
-#: in CI images.
-BACKENDS = [b for b in ("inline", "thread", "process")
-            if b in available_backends()]
+#: Evaluation paths exercised cross-stack, by their ``workers`` value.
+BACKENDS = {"inline": None, "thread": 2}
 
 
 def _canonical_via_engine(backend: str, sql: str) -> str:
     config = _tpch.sim_config()
-    workers = None if backend == "inline" else 2
-    chosen = None if backend == "inline" else backend
     engine = ServeEngine(
-        config, _tpch.catalog, workers=workers, backend=chosen
+        config, _tpch.catalog, workers=BACKENDS[backend]
     ).start()
     try:
         # Warm the engine with unrelated traffic first: canonical bytes
@@ -62,14 +56,11 @@ class TestCanonicalAcrossBackends:
             assert canonical == reference, backend
 
     def test_served_rows_identical_over_sockets(self):
-        """The NDJSON result document is byte-stable across backends."""
+        """The NDJSON result document is byte-stable inline and pooled."""
 
         async def serve_one(backend: str) -> bytes:
-            workers = None if backend == "inline" else 2
-            chosen = None if backend == "inline" else backend
             server = ReproServer(
-                _tpch.sim_config(), _tpch.catalog,
-                workers=workers, backend=chosen,
+                _tpch.sim_config(), _tpch.catalog, workers=BACKENDS[backend]
             )
             await server.start()
             try:
@@ -109,12 +100,8 @@ class TestCanonicalAcrossBackends:
 class TestLoadgenAcrossBackends:
     def test_tiny_report_identical_across_backends(self):
         reports = {}
-        for backend in BACKENDS:
-            workers = None if backend == "inline" else 2
-            chosen = None if backend == "inline" else backend
-            report = run_loadgen(
-                preset("tiny"), workers=workers, backend=chosen
-            )
+        for backend, workers in BACKENDS.items():
+            report = run_loadgen(preset("tiny"), workers=workers)
             reports[backend] = json.dumps(report.as_dict(), sort_keys=True)
         reference = reports["inline"]
         for backend, payload in reports.items():

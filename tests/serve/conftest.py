@@ -88,7 +88,7 @@ def server_runner(serve_config, small_catalog):
         def test_x(server_runner):
             async def body(server):
                 ...
-            server_runner(body, workers=2, backend="thread")
+            server_runner(body, workers=2)
     """
 
     def run(body, *, config=None, catalog=None, **server_kw):

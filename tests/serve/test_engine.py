@@ -113,9 +113,7 @@ class TestLifecycle:
             engine.submit_sql(COUNT_SQL)
 
     def test_thread_pool_closed_with_engine(self, serve_config, small_catalog):
-        engine = ServeEngine(
-            serve_config, small_catalog, workers=2, backend="thread"
-        ).start()
+        engine = ServeEngine(serve_config, small_catalog, workers=2).start()
         engine.submit_sql(COUNT_SQL).result(timeout=30)
         pool = engine._pool
         assert pool is not None

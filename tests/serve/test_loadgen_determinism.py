@@ -75,7 +75,7 @@ class TestDeterminism:
         again = run_loadgen(preset("tiny"))
         assert _report_json(again) == _report_json(tiny_clean_report)
 
-    # Worker-count and process-backend invariance moved to the
+    # Worker-count invariance moved to the
     # consolidated sweep in tests/integration/test_determinism_matrix.py
     # (scenario "serve").
 

@@ -316,12 +316,9 @@ class TestGracefulShutdown:
         asyncio.run(main())
 
     def test_no_orphaned_pool_workers(self, serve_config, small_catalog):
-        # The autouse no_shm_leaks fixture asserts the process backend
-        # left nothing behind; here we just drive it through the server.
+        # Stopping the server must shut the engine's thread pool down.
         async def main():
-            server = ReproServer(
-                serve_config, small_catalog, workers=2, backend="process"
-            )
+            server = ReproServer(serve_config, small_catalog, workers=2)
             await server.start()
             reader, writer = await asyncio.open_connection(
                 server.host, server.port

@@ -54,9 +54,7 @@ class TestDeterminism:
 
     def test_worker_count_and_backend_invariant(self, serve_config, serve_plans):
         base = _report_bytes(_run(serve_config, serve_plans))
-        threaded = _report_bytes(
-            _run(serve_config, serve_plans, workers=3, backend="thread")
-        )
+        threaded = _report_bytes(_run(serve_config, serve_plans, workers=3))
         assert base == threaded
 
     def test_chaos_run_byte_identical(self, serve_config, serve_plans):
