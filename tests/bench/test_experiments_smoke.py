@@ -7,6 +7,9 @@ populate their result structures.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bench.experiments import (
@@ -23,6 +26,23 @@ from repro.bench.experiments import (
 from repro.workloads import SkewedSelectWorkload, TpcdsDataset, TpchDataset
 
 pytestmark = pytest.mark.slow
+
+#: Simulated-time digests of the concurrent experiments at the sizes
+#: below.  A change here is a change to simulated results: a bug, not a
+#: refresh.
+FIG01_DIGEST = "a893a795474d2b025f97fc1ed32de0ff"
+FIG16_DIGEST = "eeaf98cdf4399cc9de088aa4aad4714f"
+
+
+def _times_digest(**tables: dict) -> str:
+    """blake2b over every value of ``tables`` as ``float.hex``."""
+    doc = {
+        name: {"/".join(map(str, key)): float(value).hex()
+               for key, value in table.items()}
+        for name, table in tables.items()
+    }
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +61,7 @@ class TestRunnersExecute:
         assert len(result.times) == len(fig01_dop.QUERIES) * len(fig01_dop.DOPS)
         assert all(t > 0 for t in result.times.values())
         assert "Figure 1" in result.report.format()
+        assert _times_digest(times=result.times) == FIG01_DIGEST
 
     def test_fig11(self):
         result = fig11_trace.run(outer_mb=320, inner_mb=16)
@@ -62,6 +83,9 @@ class TestRunnersExecute:
         assert result.isolated[("q6", "HP")] > 0
         assert result.concurrent[("q14", "AP")] > 0
         assert ("q6" in result.ap_plans) and ("q14" in result.ap_plans)
+        assert _times_digest(
+            isolated=result.isolated, concurrent=result.concurrent
+        ) == FIG16_DIGEST
 
     def test_fig17(self, tiny_tpcds):
         result = fig17_tpcds.run(tiny_tpcds, queries=("ds5",), max_runs=80)

@@ -116,9 +116,12 @@ def _scenario_adaptive_memo(workers, small_catalog, sim_config):
     )
 
 
-def _scenario_chaos_resilient(workers, small_catalog, sim_config):
+#: ``WorkloadReport.as_dict()`` digest of the ``chaos_resilient`` run.
+CHAOS_RESILIENT_REPORT = "12e9cd546d860630a8b97ae9f36f1fd0"
+
+
+def _chaos_resilient_run(workers, observer=None):
     workload = JoinMicroWorkload(outer_mb=16, inner_mb=4)
-    observer = Observer()
     service = ResilientWorkload(
         workload.sim_config(),
         [
@@ -131,7 +134,12 @@ def _scenario_chaos_resilient(workers, small_catalog, sim_config):
         workers=workers,
         observe=observer,
     )
-    service.run()
+    return service.run()
+
+
+def _scenario_chaos_resilient(workers, small_catalog, sim_config):
+    observer = Observer()
+    _chaos_resilient_run(workers, observer)
     observer.finish()
     return _digest(observer.canonical_json())
 
@@ -295,6 +303,11 @@ def test_matrix_baseline_is_repeatable(
     expected = _baseline(baselines, scenario, matrix_catalog, matrix_config)
     again = SCENARIOS[scenario](1, matrix_catalog, matrix_config)
     assert again == expected
+
+
+def test_chaos_resilient_report_pinned():
+    report = _chaos_resilient_run(1)
+    assert _digest(_json(report.as_dict())) == CHAOS_RESILIENT_REPORT
 
 
 class TestClusterDegeneracy:
