@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro import AdaptiveParallelizer, HeuristicParallelizer, execute
 from repro.baselines import VectorwiseSystem
-from repro.concurrency import ClientSpec, ConcurrentWorkload
+from repro.concurrency import ClientSpec, background_load
 from repro.workloads import TpchDataset
 
 QUERY = "q22"
@@ -47,7 +47,7 @@ def main() -> None:
     ]
 
     def under_load(plan, cap=None):
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name=f"bg-{i}", plans=background) for i in range(CLIENTS)],
             horizon=2.0,

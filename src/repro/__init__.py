@@ -26,7 +26,7 @@ from .chaos import (
 )
 from .concurrency import (
     ClientSpec,
-    ConcurrentWorkload,
+    ClosedLoop,
     ResilienceConfig,
     ResilientWorkload,
     WorkloadReport,
@@ -80,8 +80,8 @@ __all__ = [
     "Candidates",
     "Catalog",
     "ClientSpec",
+    "ClosedLoop",
     "Column",
-    "ConcurrentWorkload",
     "ConvergenceParams",
     "ConvergenceTracker",
     "DopDecision",

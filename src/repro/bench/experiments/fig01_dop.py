@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...concurrency import ClientSpec, ConcurrentWorkload
+from ...concurrency import ClientSpec, background_load
 from ...core.heuristic import HeuristicParallelizer
 from ...workloads.tpch import TpchDataset
 from ..reporting import ExperimentReport
@@ -60,7 +60,7 @@ def run(
     for query in QUERIES:
         for dop in DOPS:
             plan = HeuristicParallelizer(dop).parallelize(dataset.plan(query))
-            workload = ConcurrentWorkload(
+            workload = background_load(
                 config,
                 [
                     ClientSpec(name=f"bg-{i}", plans=background_plans)

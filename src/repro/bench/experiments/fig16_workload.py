@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...baselines.vectorwise import VectorwiseSystem
-from ...concurrency import ClientSpec, ConcurrentWorkload
+from ...concurrency import ClientSpec, background_load
 from ...core.adaptive import AdaptiveParallelizer
 from ...core.heuristic import HeuristicParallelizer
 from ...engine.executor import execute
@@ -89,7 +89,7 @@ def run(
             ("AP", result.ap_plans[query], None),
             ("VW", vw_plans[query][0], vw_plans[query][1]),
         ):
-            workload = ConcurrentWorkload(
+            workload = background_load(
                 config,
                 [ClientSpec(name=f"bg-{i}", plans=background) for i in range(clients)],
                 horizon=horizon,

@@ -1,14 +1,24 @@
 """Concurrent workload simulation: closed-loop clients on one machine."""
 
-from .client import ClientSpec, ClientState
-from .runner import ConcurrentWorkload, WorkloadReport
-from .service import ResilienceConfig, ResilientWorkload
+from .admission import FairScheduler, TenantSchedStats
+from .service import (
+    Client,
+    ClientSpec,
+    ClosedLoop,
+    ResilienceConfig,
+    ResilientWorkload,
+    WorkloadReport,
+    background_load,
+)
 
 __all__ = [
+    "Client",
     "ClientSpec",
-    "ClientState",
-    "ConcurrentWorkload",
+    "ClosedLoop",
+    "FairScheduler",
     "ResilienceConfig",
     "ResilientWorkload",
+    "TenantSchedStats",
     "WorkloadReport",
+    "background_load",
 ]

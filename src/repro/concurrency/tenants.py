@@ -9,7 +9,8 @@ so "interactive" tenants time out fast and retry eagerly while "batch"
 tenants wait patiently and never thrash the machine.
 
 Everything here is plain validated data; the fair scheduler
-(:mod:`repro.serve.scheduler`) and the service cores act on it.
+(:mod:`repro.concurrency.admission`), the closed-loop service core and
+the asyncio server act on it.
 """
 
 from __future__ import annotations

@@ -6,20 +6,21 @@ this package turns the repo's engine into the thing being studied: a
 long-running SQL service with tenants, SLO classes, weighted-fair
 admission, and live Prometheus metrics.
 
-Two front ends share one service core:
+Two front ends share one admission discipline:
 
 * :class:`ReproServer` -- the asyncio TCP/HTTP server behind
   ``repro serve`` (host time, real sockets, ``GET /metrics``).
-* :class:`TenantLoadService` -- the same discipline driven by the
-  discrete-event simulator (simulated time), which is what makes the
-  load generator's SLO reports byte-reproducible.
+* :class:`TenantLoadService` -- the multi-tenant configuration of the
+  closed-loop service core (:mod:`repro.concurrency.service`), driven
+  by the discrete-event simulator (simulated time), which is what makes
+  the load generator's SLO reports byte-reproducible.
 
-Layering (pure core, I/O shell)::
+Layering: :mod:`repro.concurrency` owns the tenant specs, the fair
+scheduler and the closed-loop core this package builds on::
 
-    tenants ──> scheduler ──> service ──> report     (deterministic)
-       │            │
-    session ──> protocol ──> engine ──> server       (asyncio, host time)
-                                 └──────> loadgen ───┘
+    concurrency:  tenants ──> admission ──> service (ClosedLoop)
+    serve:        session/protocol/engine ──> server      (host time)
+                  service ──> report ──> loadgen     (simulated time)
 
 Quick start::
 
@@ -30,6 +31,18 @@ Quick start::
 See ``docs/serving.md`` for the server protocol and operations guide.
 """
 
+from ..concurrency.admission import FairScheduler, TenantSchedStats
+from ..concurrency.tenants import (
+    BATCH,
+    BUILTIN_CLASSES,
+    INTERACTIVE,
+    STANDARD,
+    SloClass,
+    TenantDirectory,
+    TenantSpec,
+    default_tenants,
+    parse_tenants,
+)
 from .engine import EngineStats, ServeEngine, render_outputs
 from .loadgen import (
     PRESETS,
@@ -53,21 +66,9 @@ from .protocol import (
     error_response,
 )
 from .report import SCHEMA, ServeReport, TenantOutcome
-from .scheduler import FairScheduler, TenantSchedStats
 from .server import ReproServer
 from .service import TenantLoad, TenantLoadService
 from .session import Session, SessionStats
-from .tenants import (
-    BATCH,
-    BUILTIN_CLASSES,
-    INTERACTIVE,
-    STANDARD,
-    SloClass,
-    TenantDirectory,
-    TenantSpec,
-    default_tenants,
-    parse_tenants,
-)
 
 __all__ = [
     "BATCH",

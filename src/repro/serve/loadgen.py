@@ -26,6 +26,7 @@ import asyncio
 from dataclasses import dataclass, replace
 
 from ..chaos.faults import CHAOS_HEAVY, CHAOS_LIGHT, FaultPlan
+from ..concurrency.tenants import TenantDirectory, default_tenants
 from ..config import SimulationConfig
 from ..errors import ServeError
 from ..observe.metrics import MetricsRegistry
@@ -39,7 +40,6 @@ from .protocol import (
 )
 from .report import ServeReport
 from .service import TenantLoad, TenantLoadService
-from .tenants import TenantDirectory, default_tenants
 
 __all__ = [
     "LoadgenSpec",

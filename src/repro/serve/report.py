@@ -10,7 +10,7 @@ those bytes.
 
 It also reconciles with the resilience layer:
 :meth:`ServeReport.workload_report` projects the same run onto the
-:class:`~repro.concurrency.runner.WorkloadReport` shape, and the
+:class:`~repro.concurrency.service.WorkloadReport` shape, and the
 property suite asserts the per-tenant counters sum to it exactly.
 """
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..concurrency.runner import WorkloadReport
+from ..concurrency.service import WorkloadReport
+from ..concurrency.tenants import TenantSpec
 from ..errors import ServeError
-from .tenants import TenantSpec
 
 #: Format tag embedded in every report document.
 SCHEMA = "repro/serve/slo/v1"

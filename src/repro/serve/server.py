@@ -4,7 +4,7 @@ One TCP listener speaks two protocols, sniffed from the first line:
 
 * **NDJSON sessions** (:mod:`repro.serve.protocol`): ``hello`` binds a
   tenant, ``query`` frames pass weighted-fair admission control
-  (:class:`~repro.serve.scheduler.FairScheduler`) before executing on
+  (:class:`~repro.concurrency.admission.FairScheduler`) before executing on
   the shared :class:`~repro.serve.engine.ServeEngine`.
 * **HTTP one-shots**: ``GET /metrics`` (Prometheus text 0.0.4, live
   during load runs), ``GET /healthz``, ``POST /query``.
@@ -29,6 +29,8 @@ import json
 import threading
 from typing import Any
 
+from ..concurrency.admission import FairScheduler
+from ..concurrency.tenants import TenantDirectory, default_tenants
 from ..config import SimulationConfig
 from ..errors import (
     AdmissionError,
@@ -54,9 +56,7 @@ from .protocol import (
     is_http_preamble,
     parse_http_head,
 )
-from .scheduler import FairScheduler
 from .session import Session
-from .tenants import TenantDirectory, default_tenants
 
 __all__ = ["ReproServer"]
 

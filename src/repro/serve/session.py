@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ..concurrency.tenants import TenantDirectory, TenantSpec
 from ..errors import ServeError
 from .protocol import PROTOCOL_VERSION, Request, Response, error_response
-from .tenants import TenantDirectory, TenantSpec
 
 #: Lifecycle states.
 NEW, READY, CLOSED = "new", "ready", "closed"

@@ -80,7 +80,7 @@ class PlanCache:
     template* per normalized statement text and hands out a fresh
     :meth:`~repro.plan.graph.Plan.copy` per request, so concurrent
     submissions never share mutable node state -- exactly the template
-    discipline :class:`~repro.concurrency.client.ClientSpec` uses.
+    discipline :class:`~repro.concurrency.ClientSpec` uses.
 
     Planning errors are **not** cached: a typo'd statement costs its
     author a re-parse, and a catalog fixed between requests is picked

@@ -1,16 +1,24 @@
-"""Concurrent workload simulation and the Vectorwise baseline."""
+"""The closed loop's fault-free configuration and the Vectorwise baseline."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.baselines import VectorwiseSystem
-from repro.concurrency import ClientSpec, ConcurrentWorkload
+from repro.concurrency import (
+    ClientSpec,
+    ResilienceConfig,
+    ResilientWorkload,
+    background_load,
+)
 from repro.config import SimulationConfig, laptop_machine
 from repro.core import HeuristicParallelizer
-from repro.engine import execute
+from repro.engine import Simulator, execute
 from repro.errors import ReproError
+from repro.observe import Observer
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 from repro.storage import Catalog, LNG, Table
@@ -46,7 +54,7 @@ def make_plan(catalog):
 class TestConcurrentWorkload:
     def test_closed_loop_completes_queries(self, catalog, config):
         plan = HeuristicParallelizer(4).parallelize(make_plan(catalog))
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(4)],
             horizon=2.0,
@@ -59,7 +67,7 @@ class TestConcurrentWorkload:
     def test_contention_slows_queries_down(self, catalog, config):
         plan = HeuristicParallelizer(8).parallelize(make_plan(catalog))
         solo = execute(plan, config).response_time
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(8)],
             horizon=2.0,
@@ -71,7 +79,7 @@ class TestConcurrentWorkload:
     def test_measure_plan_under_load_slower_than_isolated(self, catalog, config):
         plan = HeuristicParallelizer(8).parallelize(make_plan(catalog))
         solo = execute(plan, config).response_time
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(8)],
             horizon=5.0,
@@ -81,9 +89,40 @@ class TestConcurrentWorkload:
         loaded = workload.measure_plan(plan)
         assert loaded.response_time > solo
 
+    def test_measure_plan_warmup_fires_timers(self, catalog, config, monkeypatch):
+        # Every client's first attempt times out before its first task
+        # can finish, i.e. inside the warm-up: the timeouts must fire at
+        # their deadline, before the probe is submitted.
+        plan = HeuristicParallelizer(8).parallelize(make_plan(catalog))
+        observer = Observer()
+        workload = ResilientWorkload(
+            config,
+            [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(4)],
+            horizon=1.0,
+            resilience=ResilienceConfig(timeout=1e-5, max_retries=0),
+            observe=observer,
+        )
+        # A warm-up that never fires the timer stalls at its deadline and
+        # spins forever; bound the event loop so that fails instead.
+        steps = itertools.count()
+        advance = Simulator._advance
+
+        def bounded(simulator):
+            assert next(steps) < 100_000, "warm-up stalled at a timer deadline"
+            advance(simulator)
+
+        monkeypatch.setattr(Simulator, "_advance", bounded)
+        workload.measure_plan(make_plan(catalog), warmup=0.2)
+        spans = observer.tracer.spans
+        probe = next(s for s in spans if s.name == "query:probe")
+        timeouts = [s.t0 for s in spans if s.name == "timeout"]
+        assert len(timeouts) >= 4
+        assert timeouts[0] == pytest.approx(1e-5)
+        assert sum(t < probe.t0 for t in timeouts) >= 4
+
     def test_max_queries_limit(self, catalog, config):
         plan = make_plan(catalog)
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name="c0", plans=[plan], max_queries=3)],
             horizon=100.0,
@@ -93,7 +132,7 @@ class TestConcurrentWorkload:
 
     def test_throughput_positive(self, catalog, config):
         plan = make_plan(catalog)
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config, [ClientSpec(name="c0", plans=[plan])], horizon=1.0
         )
         assert workload.run().throughput() > 0
@@ -106,7 +145,7 @@ class TestConcurrentWorkload:
         # actual last-completion time, not the (here absurdly large)
         # horizon.
         plan = make_plan(catalog)
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config,
             [ClientSpec(name="c0", plans=[plan], max_queries=3)],
             horizon=100.0,
@@ -121,7 +160,7 @@ class TestConcurrentWorkload:
 
     def test_invalid_horizon(self, catalog, config):
         with pytest.raises(ReproError):
-            ConcurrentWorkload(config, [], horizon=0.0)
+            background_load(config, [], horizon=0.0)
 
     def test_client_needs_plans(self):
         with pytest.raises(ValueError):
@@ -129,7 +168,7 @@ class TestConcurrentWorkload:
 
     def test_report_unknown_client(self, catalog, config):
         plan = make_plan(catalog)
-        workload = ConcurrentWorkload(
+        workload = background_load(
             config, [ClientSpec(name="c0", plans=[plan])], horizon=0.5
         )
         report = workload.run()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.chaos import FaultPlan
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
+from repro.concurrency.service import backoff
 from repro.config import SimulationConfig, laptop_machine
 from repro.core import HeuristicParallelizer
 from repro.errors import ReproError
@@ -60,6 +61,7 @@ def run_workload(
     clients=6,
     horizon=2.0,
     workers=None,
+    max_in_flight=None,
 ):
     workload = ResilientWorkload(
         config,
@@ -67,6 +69,7 @@ def run_workload(
         horizon=horizon,
         faults=faults,
         resilience=resilience,
+        max_in_flight=max_in_flight,
         workers=workers,
     )
     return workload.run()
@@ -78,18 +81,11 @@ class TestResilienceConfig:
             ResilienceConfig(timeout=0.0)
         with pytest.raises(ReproError):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ReproError):
-            ResilienceConfig(backoff_factor=0.5)
-        with pytest.raises(ReproError):
-            ResilienceConfig(max_in_flight=0)
-        with pytest.raises(ReproError):
-            ResilienceConfig(reconnect_delay=-1.0)
 
     def test_backoff_is_exponential(self):
-        res = ResilienceConfig(backoff_base=0.01, backoff_factor=2.0)
-        assert res.backoff(0) == pytest.approx(0.01)
-        assert res.backoff(1) == pytest.approx(0.02)
-        assert res.backoff(3) == pytest.approx(0.08)
+        assert backoff(0) == pytest.approx(0.02)
+        assert backoff(1) == pytest.approx(0.04)
+        assert backoff(3) == pytest.approx(0.16)
 
 
 class TestResilientWorkload:
@@ -134,7 +130,7 @@ class TestResilientWorkload:
             config,
             plan,
             clients=8,
-            resilience=ResilienceConfig(max_in_flight=3),
+            max_in_flight=3,
         )
         assert report.peak_in_flight <= 3
         # Eight closed-loop clients against three slots must queue.
@@ -154,7 +150,8 @@ class TestResilientWorkload:
             plan,
             clients=8,
             faults=faults,
-            resilience=ResilienceConfig(max_in_flight=3, timeout=1.0),
+            resilience=ResilienceConfig(timeout=1.0),
+            max_in_flight=3,
             workers=host_workers,
         )
         for i in range(8):
@@ -215,6 +212,13 @@ class TestResilientWorkload:
                 config,
                 [ClientSpec(name="c0", plans=[plan])],
                 horizon=0.0,
+            )
+        with pytest.raises(ReproError):
+            ResilientWorkload(
+                config,
+                [ClientSpec(name="c0", plans=[plan])],
+                horizon=1.0,
+                max_in_flight=0,
             )
 
     def test_percentiles_available(self, config, plan):

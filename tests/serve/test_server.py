@@ -15,8 +15,7 @@ import threading
 
 import pytest
 
-from repro.serve import ReproServer, TenantDirectory, TenantSpec
-from repro.serve.tenants import INTERACTIVE
+from repro.serve import INTERACTIVE, ReproServer, TenantDirectory, TenantSpec
 
 from tests.serve.conftest import COUNT_SQL, GROUP_SQL
 

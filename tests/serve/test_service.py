@@ -16,13 +16,15 @@ from repro.chaos import CHAOS_HEAVY, CHAOS_LIGHT
 from repro.errors import ServeError
 from repro.observe import MetricsRegistry
 from repro.serve import (
+    BATCH,
+    INTERACTIVE,
+    SloClass,
     TenantDirectory,
     TenantLoad,
     TenantLoadService,
     TenantSpec,
     default_tenants,
 )
-from repro.serve.tenants import BATCH, INTERACTIVE, SloClass
 
 
 def _loads(serve_plans, clients=(6, 4, 3)) -> list[TenantLoad]:
@@ -52,7 +54,7 @@ class TestDeterminism:
         b = _report_bytes(_run(serve_config, serve_plans))
         assert a == b
 
-    def test_worker_count_and_backend_invariant(self, serve_config, serve_plans):
+    def test_worker_count_invariant(self, serve_config, serve_plans):
         base = _report_bytes(_run(serve_config, serve_plans))
         threaded = _report_bytes(_run(serve_config, serve_plans, workers=3))
         assert base == threaded
