@@ -17,8 +17,9 @@ engine (:class:`~repro.engine.scheduler.Simulator`) with three things:
   split its ingress bandwidth evenly.  The transfer is a third work
   dimension on the task (next to cpu and memory): the operator
   completes only when all three are drained, so wire time flows through
-  the same collect/evaluate/commit barrier and the same ``_advance``
-  loop as every other cost -- bit-identical at any worker count.
+  the same collect/evaluate/commit barrier and the base engine's
+  ``_advance`` loop as every other cost -- bit-identical at any worker
+  count.
 
 * **The node dimension.**  Multi-node runs stamp ``node`` on task spans
   and per-node counters on the metrics registry.  Single-node clusters
@@ -42,7 +43,7 @@ from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
 from ..engine.evalpool import EvalPool
 from ..engine.memo import IntermediateCache
-from ..engine.scheduler import _EPS, Simulator, _PendingDispatch, _Task
+from ..engine.scheduler import Simulator, _PendingDispatch, _Task
 from ..errors import ClusterError
 from ..observe import Observer
 from ..plan.graph import Plan
@@ -83,10 +84,9 @@ class ClusterSimulator(Simulator):
         ]
         #: Effective placement per submission: sid -> {nid -> node}.
         self._placements: dict[int, dict[int, int]] = {}
-        #: NIC ingress processor sharing: node -> active transfer count.
-        self._link_demand: dict[int, int] = {}
-        #: Running tasks with an active transfer (fast-path guard).
-        self._net_count = 0
+        #: NIC ingress processor sharing: active transfers per node.
+        self._link_bw = cluster.link.bandwidth_gbps * 1e9
+        self._link_demand = [0] * cluster.nodes
 
     # ------------------------------------------------------------------
     # Placement
@@ -149,7 +149,7 @@ class ClusterSimulator(Simulator):
                 if self.faults is not None:
                     entry.fault = self.faults.draw_dispatch(
                         sid=sub.sid,
-                        nid=sub.node_index[node.nid],
+                        nid=sub.skeleton.node_index[node.nid],
                         client=sub.client,
                         now=self.now,
                     )
@@ -194,12 +194,7 @@ class ClusterSimulator(Simulator):
             # *link*: the wire bytes stretch with the same magnitude
             # the base engine applied to cpu/memory work.
             wire *= fault.magnitude
-        task.net_rem = wire
-        task.lat_rem = self.cluster.link.latency_s
-        task.link = dst
-        task.net_active = True
-        self._link_demand[dst] = self._link_demand.get(dst, 0) + 1
-        self._net_count += 1
+        self._start_transfer(task, wire, dst)
         obs = self.observe
         if obs is not None:
             obs.metrics.counter(
@@ -208,109 +203,17 @@ class ClusterSimulator(Simulator):
                 node=f"n{dst}",
             ).inc(wire)
 
-    # ------------------------------------------------------------------
-    # Time advance (network-aware)
-    # ------------------------------------------------------------------
-    def _deactivate_net(self, task: _Task) -> None:
-        task.net_active = False
-        self._net_count -= 1
-        demand = self._link_demand
-        left = demand[task.link] - 1
-        if left:
-            demand[task.link] = left
-        else:
-            del demand[task.link]
+    def _start_transfer(self, task: _Task, wire: float, dst: int) -> None:
+        """Open ``task``'s network lane: ``wire`` bytes into node ``dst``.
 
-    def _advance(self) -> None:
-        if self._net_count == 0:
-            # No transfer in flight: the base loop's float math, taken
-            # verbatim -- identical rounding, identical traces.
-            super()._advance()
-            return
-        tasks = self._tasks
-        spec = self.config.machine
-        core_busy = self.machine._core_busy
-        full_rate = spec.cycles_per_second
-        ht_rate = full_rate * (spec.hyperthread_yield / 2.0)
-        socket_demand = self._socket_mem_demand
-        socket_bw = spec.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = spec.numa_remote_factor
-        link_bw = self.cluster.link.bandwidth_gbps * 1e9
-        link_demand = self._link_demand
-
-        cpu_rates = []
-        mem_rates = []
-        net_rates = []
-        finish_in = []
-        dt = None
-        for task in tasks:
-            thread = task.thread
-            cpu_rate = full_rate if core_busy[thread.core_id] == 1 else ht_rate
-            n_mem = socket_demand.get(thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = socket_bw / n_mem
-                if thread_cap < mem_rate:
-                    mem_rate = thread_cap
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            cpu_t = task.cpu_rem / cpu_rate if task.cpu_rem > _EPS else 0.0
-            mem_t = task.mem_rem / mem_rate if task.mem_rem > _EPS else 0.0
-            horizon = cpu_t if cpu_t > mem_t else mem_t
-            if task.net_active:
-                net_rate = link_bw / link_demand[task.link]
-                net_t = task.lat_rem + (
-                    task.net_rem / net_rate if task.net_rem > _EPS else 0.0
-                )
-                if net_t > horizon:
-                    horizon = net_t
-            else:
-                net_rate = 0.0
-            cpu_rates.append(cpu_rate)
-            mem_rates.append(mem_rate)
-            net_rates.append(net_rate)
-            finish_in.append(horizon)
-            if dt is None or horizon < dt:
-                dt = horizon
-        if self._timers:
-            window = self._timers[0][0] - self.now
-            if window < dt:
-                dt = window if window > 0.0 else 0.0
-        self.now += dt
-        completed = []
-        deadline = dt + _EPS
-        for i, task in enumerate(tasks):
-            done = finish_in[i] <= deadline
-            cpu_rem = task.cpu_rem - dt * cpu_rates[i]
-            mem_rem = task.mem_rem - dt * mem_rates[i]
-            if done:
-                cpu_rem = 0.0
-                mem_rem = 0.0
-                completed.append(task)
-            task.cpu_rem = cpu_rem if cpu_rem > 0.0 else 0.0
-            task.mem_rem = mem_rem if mem_rem > 0.0 else 0.0
-            if task.mem_active and mem_rem <= _EPS:
-                self._deactivate_mem(task)
-            if task.net_active:
-                if done:
-                    task.lat_rem = 0.0
-                    task.net_rem = 0.0
-                elif dt <= task.lat_rem:
-                    # Still inside the latency window: no bytes flowed.
-                    task.lat_rem -= dt
-                else:
-                    spill = dt - task.lat_rem
-                    task.lat_rem = 0.0
-                    net_rem = task.net_rem - spill * net_rates[i]
-                    task.net_rem = net_rem if net_rem > 0.0 else 0.0
-                if done or (
-                    task.lat_rem <= _EPS and task.net_rem <= _EPS
-                ):
-                    self._deactivate_net(task)
-        for task in completed:
-            self._complete(task)
+        The base engine's ``_advance`` drains the lane: the link latency
+        first, then the bytes at the NIC's processor-sharing rate.
+        """
+        task.net_rem = wire
+        task.lat_rem = self.cluster.link.latency_s
+        task.link = dst
+        task.net_active = True
+        self._link_demand[dst] += 1
 
     # ------------------------------------------------------------------
     # Observability (the node dimension)

@@ -187,9 +187,11 @@ class ResilienceConfig:
 class ClientSpec:
     """One simulated client: a stream of query plans to re-issue.
 
-    ``plans`` are plan templates; each submission runs a fresh copy.  The
-    client draws the next plan at random (the paper's "32 clients invoke
-    random simple and complex queries repeatedly").
+    ``plans`` are plan templates.  The service copies each one once, when
+    it is built, and every submission of a template executes that one
+    private copy, so later changes to ``plans`` do not reach a built
+    service.  The client draws the next plan at random (the paper's "32
+    clients invoke random simple and complex queries repeatedly").
     """
 
     name: str
@@ -266,6 +268,10 @@ class ClosedLoop:
     by ``metrics_lock`` because the asyncio ``/metrics`` endpoint scrapes
     them mid-run).  Every :meth:`run` and :meth:`measure_plan` starts
     from fresh state.
+
+    Construction copies each distinct template once; the clients draw
+    from those private copies, and every run's simulator shares one
+    execution skeleton per copy across its concurrent submissions.
     """
 
     #: First arrivals uniform over the horizon (else all at t=0, in order).
@@ -305,6 +311,13 @@ class ClosedLoop:
         self.config = config
         self.directory = directory
         self.clients = list(clients)
+        private: dict[Plan, Plan] = {}  # template -> copy (identity keys)
+        for client in self.clients:
+            for plan in client.plans:
+                if plan not in private:
+                    private[plan] = plan.copy()
+            client.plans = tuple(private[p] for p in client.plans)
+        self._templates = tuple(private.values())
         self.horizon = horizon
         self.seed = seed
         self.faults = faults
@@ -338,7 +351,7 @@ class ClosedLoop:
             self._start()
             self._run_until(warmup)
             sid = self.simulator.submit(
-                plan.copy(), client="probe", max_threads=max_threads
+                plan, client="probe", max_threads=max_threads
             )
             self.simulator.run()
         finally:
@@ -361,6 +374,8 @@ class ClosedLoop:
             memo=IntermediateCache() if self.memo else None,
             observe=self.observe,
         )
+        for template in self._templates:
+            self.simulator.share(template)
         self.scheduler = FairScheduler(self.directory, max_in_flight=self.max_in_flight)
         self.rng = np.random.default_rng(self.seed)
         #: Decision tallies keyed by (lane, decision).
@@ -499,7 +514,7 @@ class ClosedLoop:
         )
         attempt = _Attempt(query, disconnected)
         simulator.submit(
-            query.template.copy(),
+            query.template,
             client=client.name,
             max_threads=query.max_threads,
             on_complete=lambda _sid, _a=attempt: self._on_complete(_a),

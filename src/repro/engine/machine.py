@@ -39,6 +39,14 @@ class MachineState:
     _core_busy: list[int] = field(default_factory=list, repr=False)
     _socket_busy: list[int] = field(default_factory=list, repr=False)
     _busy_total: int = field(default=0, repr=False)
+    #: Cycles/second of a busy thread whose hyperthread siblings are all
+    #: idle, and of one sharing its core: the one rate definition.
+    solo_rate: float = field(init=False, repr=False)
+    shared_rate: float = field(init=False, repr=False)
+    #: Per core, the rate each of its busy threads delivers right now;
+    #: kept current by :meth:`acquire`/:meth:`release` so the
+    #: simulator's event loop reads it instead of re-deriving it.
+    core_rate: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.threads:
@@ -58,6 +66,16 @@ class MachineState:
                 self._core_busy[t.core_id] += 1
                 self._socket_busy[t.socket_id] += 1
                 self._busy_total += 1
+        # A core running several threads delivers ``hyperthread_yield``
+        # of its full throughput, split evenly.
+        self.solo_rate = self.spec.cycles_per_second
+        self.shared_rate = self.spec.cycles_per_second * (
+            self.spec.hyperthread_yield / 2.0
+        )
+        self.core_rate = [
+            self.shared_rate if busy > 1 else self.solo_rate
+            for busy in self._core_busy
+        ]
 
     # ------------------------------------------------------------------
     def siblings(self, thread: HardwareThread) -> list[HardwareThread]:
@@ -66,15 +84,6 @@ class MachineState:
             for t in self.threads
             if t.core_id == thread.core_id and t.thread_id != thread.thread_id
         ]
-
-    def core_occupancy(self, core_id: int) -> int:
-        return self._core_busy[core_id]
-
-    def socket_busy_threads(self, socket_id: int) -> int:
-        return self._socket_busy[socket_id]
-
-    def idle_threads(self) -> list[HardwareThread]:
-        return [t for t in self.threads if not t.busy]
 
     def busy_count(self) -> int:
         return self._busy_total
@@ -116,7 +125,10 @@ class MachineState:
         if thread.busy:
             raise SchedulerError(f"thread {thread.thread_id} already busy")
         thread.busy = True
-        self._core_busy[thread.core_id] += 1
+        core = thread.core_id
+        busy = self._core_busy[core] + 1
+        self._core_busy[core] = busy
+        self.core_rate[core] = self.shared_rate if busy > 1 else self.solo_rate
         self._socket_busy[thread.socket_id] += 1
         self._busy_total += 1
 
@@ -124,7 +136,10 @@ class MachineState:
         if not thread.busy:
             raise SchedulerError(f"thread {thread.thread_id} already idle")
         thread.busy = False
-        self._core_busy[thread.core_id] -= 1
+        core = thread.core_id
+        busy = self._core_busy[core] - 1
+        self._core_busy[core] = busy
+        self.core_rate[core] = self.shared_rate if busy > 1 else self.solo_rate
         self._socket_busy[thread.socket_id] -= 1
         self._busy_total -= 1
 
@@ -138,5 +153,4 @@ class MachineState:
         """
         occupancy = self._core_busy[thread.core_id]
         sibling_busy = occupancy > (1 if thread.busy else 0)
-        factor = self.spec.hyperthread_yield / 2.0 if sibling_busy else 1.0
-        return self.spec.cycles_per_second * factor
+        return self.shared_rate if sibling_busy else self.solo_rate

@@ -21,16 +21,20 @@ per completion, tens of thousands of times per adaptive instance, so the
 per-event work is kept O(running tasks): ready queues are deques,
 completed tasks are removed by swap-with-last, and the per-socket count
 of memory-bound tasks (the bandwidth-sharing denominator) is maintained
-incrementally instead of rescanning every task at every event.
+incrementally instead of rescanning every task at every event.  A plan
+submitted many times (closed-loop clients) registers once with
+:meth:`Simulator.share`, so its topological walk, consumer index and
+fingerprints are built once, not per submission.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultKind
@@ -63,47 +67,75 @@ class ExecutionResult:
         return self.profile.response_time
 
 
+class _Skeleton:
+    """The execution shape of one plan, shared by all its submissions.
+
+    Built from one ``plan.nodes()`` walk and never mutated afterwards:
+    initial input counts, pending-consumer counts, consumer lists,
+    leaves and output nids.  Everything an execution changes lives on
+    :class:`_Submission` or in simulator state keyed by ``(sid, nid)``,
+    so concurrent submissions of one plan object may share a skeleton
+    (see :meth:`Simulator.share`).
+    """
+
+    __slots__ = (
+        "plan", "waiting", "pending_consumers", "consumers", "leaves", "is_output",
+        "size", "fingerprints", "node_index",
+    )
+
+    def __init__(
+        self, plan: Plan, *, fingerprints: bool, node_index: bool
+    ) -> None:
+        self.plan = plan
+        nodes = plan.nodes()
+        self.waiting: dict[int, int] = {}
+        self.pending_consumers: dict[int, int] = {n.nid: 0 for n in nodes}
+        self.consumers: dict[int, list[PlanNode]] = {}
+        for node in nodes:
+            self.waiting[node.nid] = len(node.inputs)
+            for child in node.inputs:
+                self.pending_consumers[child.nid] += 1
+                self.consumers.setdefault(child.nid, []).append(node)
+        self.leaves = tuple(n for n in nodes if not n.inputs)
+        self.is_output = frozenset(out.nid for out in plan.outputs)
+        self.size = len(nodes)
+        # One shared O(nodes) walk; only needed when memoization is on.
+        self.fingerprints: dict[int, bytes] = (
+            plan.fingerprints() if fingerprints else {}
+        )
+        # Plan-relative node position (nid -> index in topological
+        # order).  ``PlanNode.nid`` comes from a process-global counter,
+        # so raw nids are not reproducible across runs; the fault
+        # schedule records these stable indices instead.  Only needed
+        # when fault injection is on.
+        self.node_index: dict[int, int] = (
+            {node.nid: i for i, node in enumerate(nodes)} if node_index else {}
+        )
+
+
 class _Submission:
     """One query instance inside the simulator."""
 
     __slots__ = (
-        "sid",
-        "plan",
-        "client",
-        "max_threads",
-        "on_complete",
-        "on_failure",
-        "failed",
-        "profile",
-        "values",
-        "waiting",
-        "pending_consumers",
-        "remaining",
-        "running",
-        "ready",
-        "is_output",
-        "consumers",
-        "live_bytes",
-        "fingerprints",
-        "node_index",
-        "span",
+        "sid", "plan", "skeleton", "client", "max_threads", "on_complete",
+        "on_failure", "failed", "profile", "values", "waiting", "pending_consumers",
+        "remaining", "running", "ready", "live_bytes", "span",
     )
 
     def __init__(
         self,
         sid: int,
-        plan: Plan,
+        skeleton: _Skeleton,
         submit_time: float,
         client: str,
         max_threads: int,
-        on_complete: Callable[["_Submission"], None] | None,
+        on_complete: Callable[[int], None] | None,
         *,
         on_failure: Callable[[int, Exception], None] | None = None,
-        want_fingerprints: bool = False,
-        want_node_index: bool = False,
     ) -> None:
         self.sid = sid
-        self.plan = plan
+        self.plan = skeleton.plan
+        self.skeleton: _Skeleton | None = skeleton
         self.client = client
         self.max_threads = max_threads
         self.on_complete = on_complete
@@ -112,36 +144,12 @@ class _Submission:
         self.failed: Exception | None = None
         self.profile = QueryProfile(submit_time=submit_time)
         self.values: dict[int, Intermediate] = {}
-        nodes = plan.nodes()
-        self.waiting: dict[int, int] = {}
-        self.pending_consumers: dict[int, int] = {nid: 0 for nid in (n.nid for n in nodes)}
-        for node in nodes:
-            self.waiting[node.nid] = len(node.inputs)
-            for child in node.inputs:
-                self.pending_consumers[child.nid] += 1
-        self.is_output = {out.nid for out in plan.outputs}
-        self.consumers: dict[int, list[PlanNode]] = {}
-        for node in nodes:
-            for child in node.inputs:
-                self.consumers.setdefault(child.nid, []).append(node)
-        self.remaining = len(nodes)
+        self.waiting = dict(skeleton.waiting)
+        self.pending_consumers = dict(skeleton.pending_consumers)
+        self.remaining = skeleton.size
         self.running = 0
         self.live_bytes = 0.0
-        self.ready: deque[PlanNode] = deque(n for n in nodes if not n.inputs)
-        # One shared O(nodes) walk; only needed when memoization is on.
-        self.fingerprints: dict[int, bytes] = (
-            plan.fingerprints() if want_fingerprints else {}
-        )
-        # Plan-relative node position (nid -> index in topological
-        # order).  ``PlanNode.nid`` comes from a process-global counter,
-        # so raw nids are not reproducible across runs; the fault
-        # schedule records these stable indices instead.  Only needed
-        # when fault injection is on.
-        self.node_index: dict[int, int] = (
-            {node.nid: i for i, node in enumerate(nodes)}
-            if want_node_index
-            else {}
-        )
+        self.ready: deque[PlanNode] = deque(skeleton.leaves)
         #: Tracing span covering submit -> finish (None when unobserved).
         self.span = None
 
@@ -158,31 +166,23 @@ class _Submission:
         """
         self.waiting = {}
         self.pending_consumers = {}
-        self.consumers = {}
         self.ready = deque()
-        self.fingerprints = {}
-        self.node_index = {}
+        self.skeleton = None
 
 
 class _Task:
-    """A running operator."""
+    """A running operator.
+
+    Placement (core, socket, NUMA bandwidth scale) is fixed at commit;
+    the rates and finish horizon are rewritten by every
+    :meth:`Simulator._advance`.
+    """
 
     __slots__ = (
-        "submission",
-        "node",
-        "thread",
-        "cpu_rem",
-        "mem_rem",
-        "cpu_work",
-        "mem_work",
-        "start",
-        "remote",
-        "index",
-        "mem_active",
-        "net_rem",
-        "lat_rem",
-        "link",
-        "net_active",
+        "submission", "node", "thread", "core", "socket", "mem_scale", "cpu_rem",
+        "mem_rem", "cpu_work", "mem_work", "start", "index", "mem_active",
+        "net_rem", "lat_rem", "link", "net_active", "cpu_rate", "mem_rate",
+        "net_rate", "finish",
     )
 
     def __init__(
@@ -193,17 +193,21 @@ class _Task:
         cpu_work: float,
         mem_work: float,
         start: float,
-        remote: bool = False,
+        mem_scale: float = 1.0,
     ) -> None:
         self.submission = submission
         self.node = node
         self.thread = thread
+        self.core = thread.core_id
+        self.socket = thread.socket_id
+        #: Bandwidth multiplier: ``numa_remote_factor`` for a task reading
+        #: inputs homed on another socket (strict NUMA), else 1.0.
+        self.mem_scale = mem_scale
         self.cpu_work = cpu_work
         self.mem_work = mem_work
         self.cpu_rem = cpu_work
         self.mem_rem = mem_work
         self.start = start
-        self.remote = remote
         #: Position in the simulator's running-task list (swap-removal).
         self.index = -1
         #: True while this task still counts toward its socket's
@@ -218,6 +222,11 @@ class _Task:
         self.lat_rem = 0.0
         self.link = -1
         self.net_active = False
+        #: Rates and time-to-finish as of the latest event.
+        self.cpu_rate = 0.0
+        self.mem_rate = 0.0
+        self.net_rate = 0.0
+        self.finish = 0.0
 
 
 class _PendingDispatch:
@@ -338,7 +347,10 @@ class Simulator:
         self._submissions: dict[int, _Submission] = {}
         self._queue: list[_Submission] = []  # FIFO across unfinished submissions
         self._tasks: list[_Task] = []
-        self._thread_cap = thread_bandwidth_cap(config.machine, self.cost_ctx.params)
+        spec = config.machine
+        self._thread_cap = thread_bandwidth_cap(spec, self.cost_ctx.params)
+        self._socket_bw = spec.mem_bandwidth_gbps * 1e9
+        self._remote_factor = spec.numa_remote_factor
         self._last_profiles: dict[tuple[int, int], WorkProfile] = {}
         # Hash tables are cached on their build input (per submission):
         # the first join over an inner node pays the build, later clones
@@ -349,7 +361,14 @@ class Simulator:
         self._home_socket: dict[int, dict[int, int]] = {}
         # Number of memory-bound running tasks per socket -- the
         # bandwidth-sharing denominator, maintained incrementally.
-        self._socket_mem_demand: dict[int, int] = {}
+        self._socket_mem_demand = [0] * spec.sockets
+        # Network lanes (cluster simulation): NIC ingress bandwidth and
+        # active transfers per destination node.  Empty on one machine.
+        self._link_bw = 0.0
+        self._link_demand: list[int] = []
+        # Skeletons of plans registered with :meth:`share`; a Plan
+        # hashes by identity, so this maps plan objects, not contents.
+        self._shared: dict[Plan, _Skeleton] = {}
         # Simulated-time timers: (when, seq, callback) heap.  The seq
         # tiebreak keeps same-instant callbacks firing in registration
         # order, which the determinism guarantees depend on.
@@ -385,23 +404,11 @@ class Simulator:
         limit = max_threads if max_threads is not None else self.config.effective_threads
         limit = min(limit, self.config.machine.hardware_threads)
         sid = next(self._sid_counter)
-        wrapped = None
-        if on_complete is not None:
-            callback = on_complete
-
-            def wrapped(sub: _Submission, _cb=callback) -> None:
-                _cb(sub.sid)
-
+        skeleton = self._shared.get(plan)
+        if skeleton is None:
+            skeleton = self._skeleton(plan)
         sub = _Submission(
-            sid,
-            plan,
-            self.now,
-            client,
-            limit,
-            wrapped,
-            on_failure=on_failure,
-            want_fingerprints=self.memo is not None,
-            want_node_index=self.faults is not None,
+            sid, skeleton, self.now, client, limit, on_complete, on_failure=on_failure
         )
         self._submissions[sid] = sub
         obs = self.observe
@@ -424,6 +431,23 @@ class Simulator:
         else:
             self._queue.append(sub)
         return sid
+
+    def share(self, plan: Plan) -> None:
+        """Build ``plan``'s execution skeleton once for all its submissions.
+
+        For callers that submit one plan object many times, such as
+        closed-loop clients re-issuing a template.  The caller must not
+        mutate ``plan`` afterwards; a plan that is not shared gets a
+        fresh skeleton at every :meth:`submit`.
+        """
+        self._shared[plan] = self._skeleton(plan)
+
+    def _skeleton(self, plan: Plan) -> _Skeleton:
+        return _Skeleton(
+            plan,
+            fingerprints=self.memo is not None,
+            node_index=self.faults is not None,
+        )
 
     def run(self) -> None:
         """Advance simulated time until no work remains.
@@ -552,7 +576,7 @@ class Simulator:
                     # simulated dispatch order, not host parallelism.
                     entry.fault = self.faults.draw_dispatch(
                         sid=sub.sid,
-                        nid=sub.node_index[node.nid],
+                        nid=sub.skeleton.node_index[node.nid],
                         client=sub.client,
                         now=self.now,
                     )
@@ -586,7 +610,7 @@ class Simulator:
                 # would only waste host work.
                 continue
             if memo is not None:
-                fingerprint = sub.fingerprints[node.nid]
+                fingerprint = sub.skeleton.fingerprints[node.nid]
                 entry.fingerprint = fingerprint
                 peeked = memo.peek(fingerprint)
                 if peeked is not None:
@@ -647,13 +671,13 @@ class Simulator:
                 "fault",
                 self.now,
                 parent=sub.span,
-                node=sub.node_index[node.nid],
+                node=sub.skeleton.node_index[node.nid],
                 magnitude=fault.magnitude,
             )
         if fault is not None and fault.kind is FaultKind.OPERATOR_EXCEPTION:
             assert self.faults is not None
             error = self.faults.error_for(
-                sid=sub.sid, nid=sub.node_index[node.nid], now=self.now
+                sid=sub.sid, nid=sub.skeleton.node_index[node.nid], now=self.now
             )
             self._fail_submission(sub, thread, error)
             return
@@ -742,21 +766,39 @@ class Simulator:
             remote = remote_count * 2 > len(homes)
         # The thread was acquired (and ``sub.running`` advanced) at
         # collection time so the placement policy saw it as busy.
+        self._start_task(
+            sub,
+            node,
+            thread,
+            max(work.cpu_cycles * factor, 1.0),
+            max(work.mem_bytes * factor * mem_extra, 0.0),
+            remote,
+        )
+
+    def _start_task(
+        self,
+        sub: _Submission,
+        node: PlanNode,
+        thread: HardwareThread,
+        cpu_work: float,
+        mem_work: float,
+        remote: bool,
+    ) -> _Task:
+        """Put a committed operator on its (already acquired) thread."""
         task = _Task(
             sub,
             node,
             thread,
-            cpu_work=max(work.cpu_cycles * factor, 1.0),
-            mem_work=max(work.mem_bytes * factor * mem_extra, 0.0),
-            start=self.now,
-            remote=remote,
+            cpu_work,
+            mem_work,
+            self.now,
+            self._remote_factor if remote else 1.0,
         )
         task.index = len(self._tasks)
         self._tasks.append(task)
         if task.mem_active:
-            demand = self._socket_mem_demand
-            socket = thread.socket_id
-            demand[socket] = demand.get(socket, 0) + 1
+            self._socket_mem_demand[task.socket] += 1
+        return task
 
     # ------------------------------------------------------------------
     # Submission failure
@@ -811,79 +853,102 @@ class Simulator:
     # ------------------------------------------------------------------
     # Time advance
     # ------------------------------------------------------------------
-    def _deactivate_mem(self, task: _Task) -> None:
-        """Drop a task from its socket's memory-demand count."""
-        task.mem_active = False
-        demand = self._socket_mem_demand
-        socket = task.thread.socket_id
-        left = demand[socket] - 1
-        if left:
-            demand[socket] = left
-        else:
-            del demand[socket]
-
     def _advance(self) -> None:
-        # The innermost simulator loop: runs once per event over every
-        # running task, so the rate model is inlined (same math as
-        # ``MachineState.compute_rate``) and per-task values are kept in
-        # parallel lists instead of tuples.
-        tasks = self._tasks
-        spec = self.config.machine
-        core_busy = self.machine._core_busy
-        full_rate = spec.cycles_per_second
-        ht_rate = full_rate * (spec.hyperthread_yield / 2.0)
-        socket_demand = self._socket_mem_demand
-        socket_bw = spec.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = spec.numa_remote_factor
+        """Step simulated time to the next task completion or timer.
 
-        cpu_rates = []
-        mem_rates = []
-        finish_in = []
-        dt = None
+        The innermost simulator loop, run once per event over every
+        running task of both simulators.  Per event it computes one
+        bandwidth share per socket; per task, it reads the cpu rate of
+        the task's core (:attr:`MachineState.core_rate`, derived from the
+        same definition :meth:`MachineState.compute_rate` uses) and
+        derives a memory rate and -- for cluster transfers -- a NIC rate
+        behind the link latency.  A task finishes when all its works are
+        drained.
+        """
+        tasks = self._tasks
+        core_rate = self.machine.core_rate
+        thread_cap = self._thread_cap
+        socket_bw = self._socket_bw
+        socket_demand = self._socket_mem_demand
+        # A socket's sustained bandwidth splits evenly over its
+        # memory-bound tasks, each capped at what one thread can draw.
+        socket_rate = []
+        for n_mem in socket_demand:
+            share = socket_bw / n_mem if n_mem else thread_cap
+            socket_rate.append(thread_cap if thread_cap < share else share)
+        link_bw = self._link_bw
+        link_demand = self._link_demand
+        eps = _EPS
+
+        dt = math.inf
         for task in tasks:
-            thread = task.thread
-            # A running task's thread is busy, so a sibling is busy iff
-            # more than one thread of the core is.
-            cpu_rate = full_rate if core_busy[thread.core_id] == 1 else ht_rate
-            n_mem = socket_demand.get(thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = socket_bw / n_mem
-                if thread_cap < mem_rate:
-                    mem_rate = thread_cap
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            cpu_t = task.cpu_rem / cpu_rate if task.cpu_rem > _EPS else 0.0
-            mem_t = task.mem_rem / mem_rate if task.mem_rem > _EPS else 0.0
-            horizon = cpu_t if cpu_t > mem_t else mem_t
-            cpu_rates.append(cpu_rate)
-            mem_rates.append(mem_rate)
-            finish_in.append(horizon)
-            if dt is None or horizon < dt:
+            cpu_rate = task.cpu_rate = core_rate[task.core]
+            mem_rate = task.mem_rate = socket_rate[task.socket] * task.mem_scale
+            rem = task.cpu_rem
+            horizon = rem / cpu_rate if rem > eps else 0.0
+            rem = task.mem_rem
+            if rem > eps:
+                mem_t = rem / mem_rate
+                if mem_t > horizon:
+                    horizon = mem_t
+            if task.net_active:
+                net_rate = task.net_rate = link_bw / link_demand[task.link]
+                rem = task.net_rem
+                net_t = task.lat_rem + (rem / net_rate if rem > eps else 0.0)
+                if net_t > horizon:
+                    horizon = net_t
+            task.finish = horizon
+            if horizon < dt:
                 dt = horizon
-        if self._timers:
+        timers = self._timers
+        if timers:
             # Never step past a timer deadline: the callback (a backoff
             # retry, a client timeout) must observe the machine at its
             # scheduled instant.
-            window = self._timers[0][0] - self.now
+            window = timers[0][0] - self.now
             if window < dt:
                 dt = window if window > 0.0 else 0.0
         self.now += dt
         completed = []
-        deadline = dt + _EPS
-        for i, task in enumerate(tasks):
-            cpu_rem = task.cpu_rem - dt * cpu_rates[i]
-            mem_rem = task.mem_rem - dt * mem_rates[i]
-            if finish_in[i] <= deadline:
-                cpu_rem = 0.0
-                mem_rem = 0.0
+        deadline = dt + eps
+        for task in tasks:
+            if task.finish <= deadline:
+                task.cpu_rem = 0.0
+                task.mem_rem = 0.0
+                if task.mem_active:
+                    task.mem_active = False
+                    socket_demand[task.socket] -= 1
+                if task.net_active:
+                    task.lat_rem = 0.0
+                    task.net_rem = 0.0
+                    task.net_active = False
+                    link_demand[task.link] -= 1
                 completed.append(task)
-            task.cpu_rem = cpu_rem if cpu_rem > 0.0 else 0.0
-            task.mem_rem = mem_rem if mem_rem > 0.0 else 0.0
-            if task.mem_active and mem_rem <= _EPS:
-                self._deactivate_mem(task)
+                continue
+            # A drained work stays 0.0 (and off its socket's demand).
+            rem = task.cpu_rem
+            if rem:
+                rem -= dt * task.cpu_rate
+                task.cpu_rem = rem if rem > 0.0 else 0.0
+            rem = task.mem_rem
+            if rem:
+                rem -= dt * task.mem_rate
+                task.mem_rem = rem if rem > 0.0 else 0.0
+                if rem <= eps and task.mem_active:
+                    task.mem_active = False
+                    socket_demand[task.socket] -= 1
+            if task.net_active:
+                lat = task.lat_rem
+                if dt <= lat:
+                    # Still inside the latency window: no bytes flowed.
+                    task.lat_rem = lat - dt
+                else:
+                    task.lat_rem = 0.0
+                    rem = task.net_rem - (dt - lat) * task.net_rate
+                    task.net_rem = rem if rem > 0.0 else 0.0
+                if task.lat_rem <= eps and task.net_rem <= eps:
+                    task.net_active = False
+                    link_demand[task.link] -= 1
         for task in completed:
             self._complete(task)
 
@@ -963,7 +1028,7 @@ class Simulator:
                 "repro_task_sim_seconds", help="simulated task durations"
             ).observe(duration)
         # Wake up consumers whose inputs are now complete.
-        for consumer in self._consumers_of(sub, node):
+        for consumer in sub.skeleton.consumers.get(node.nid, ()):
             sub.waiting[consumer.nid] -= 1
             if sub.waiting[consumer.nid] == 0:
                 sub.ready.append(consumer)
@@ -980,7 +1045,7 @@ class Simulator:
                     "repro_submissions_completed_total", "submissions that finished"
                 ).inc()
             if sub.on_complete is not None:
-                sub.on_complete(sub)
+                sub.on_complete(sub.sid)
 
     def _task_span_attrs(self, task: _Task) -> dict:
         """Extra attributes for a completed task's span.
@@ -991,17 +1056,12 @@ class Simulator:
         """
         return {}
 
-    def _consumers_of(self, sub: _Submission, node: PlanNode) -> Sequence[PlanNode]:
-        return sub.consumers.get(node.nid, ())
-
     def _release_value(self, sub: _Submission, node: PlanNode) -> None:
         # Free input intermediates once their last consumer has finished.
+        is_output = sub.skeleton.is_output
         for child in node.inputs:
             sub.pending_consumers[child.nid] -= 1
-            if (
-                sub.pending_consumers[child.nid] == 0
-                and child.nid not in sub.is_output
-            ):
+            if sub.pending_consumers[child.nid] == 0 and child.nid not in is_output:
                 freed = sub.values.pop(child.nid, None)
                 if freed is not None:
                     sub.live_bytes -= (

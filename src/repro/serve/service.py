@@ -31,8 +31,8 @@ class TenantLoad:
 
     tenant: str
     clients: int
-    #: Plan templates the tenant's clients draw from (each submission
-    #: executes a fresh copy).
+    #: Plan templates the tenant's clients draw from (each run copies
+    #: every template once and re-executes that private copy).
     plans: tuple[Plan, ...]
     #: Mean think time between one client's queries, simulated seconds.
     think_mean: float = 0.25
