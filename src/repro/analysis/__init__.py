@@ -1,4 +1,4 @@
-"""Codebase-level static analysis: the kernel parallel-safety certifier.
+"""Codebase-level static analysis: the kernel purity certifier.
 
 Where :mod:`repro.plan.analysis` proves properties of *plan graphs*,
 this package proves properties of the *code* the engine runs -- the
@@ -18,10 +18,9 @@ executed):
 * :mod:`~repro.analysis.concurrency` -- pool-reachable code follows the
   repo's locking idioms; kernels never mutate ``self``.
 
-Verdicts are materialized as per-operator **parallel-safety
-certificates** (:mod:`~repro.analysis.certificates`) that the
-evaluation pool consults fail-closed before dispatching a kernel off
-the main thread, and the **runtime sanitizer**
+Verdicts are materialized as per-operator **purity certificates**
+(:mod:`~repro.analysis.certificates`), which guard the memo's reuse of
+intermediates across operators and runs, and the **runtime sanitizer**
 (:mod:`~repro.analysis.sanitize`) cross-checks at execution time what
 static analysis cannot see.  The ``repro analyze`` CLI runs the whole
 thing over the repo; see ``docs/static_analysis.md``.
@@ -33,7 +32,6 @@ from .certificates import (
     OperatorCertificate,
     build_registry,
     certify_type,
-    default_registry,
     registered_operator_classes,
 )
 from .concurrency import POOL_REACHABLE_PREFIXES, ConcurrencyRule
@@ -85,7 +83,6 @@ __all__ = [
     "certify_type",
     "checksum_intermediate",
     "default_package_path",
-    "default_registry",
     "default_rules",
     "discover",
     "exit_code",

@@ -1,28 +1,28 @@
-"""Parallel-safety certificates for operator kernels.
+"""Purity certificates for operator kernels.
 
 A certificate is the machine-readable verdict of the static analyzer
 (:mod:`repro.analysis.purity`) about one operator class:
 
 * ``pure`` -- the kernel methods (``evaluate`` / ``work_profile`` /
   ``mask``) have no effects visible outside the call: no in-place write
-  to shared input buffers, no instance or module state.  Pure kernels
-  are safe to dispatch on evaluation-pool worker threads.
+  to shared input buffers, no instance or module state.  Only a pure
+  kernel's output may be reused from the memo: an intermediate that
+  another operator (or a later run) reads must not be written by the
+  kernel that consumes it.
 * ``picklable_params`` -- the class is importable at module level (not
   defined inside a function), so instances could cross a process
   boundary.
 * ``shared_memory_eligible`` -- ``pure and picklable_params``: the
   kernel could run in another process against shared-memory column
-  buffers.  Recorded for the analysis report; the thread pool gates on
-  ``pure`` alone.
+  buffers.  Recorded for the analysis report.
 * ``view_returning`` -- the kernel can return a numpy **view** aliasing
-  an input buffer (zero-copy fast paths).  Harmless for threads.
+  an input buffer (zero-copy fast paths).
 
-The :class:`CertificateRegistry` is what the evaluation pool consults,
-**fail-closed**: an operator with no certificate -- or a certificate
-with findings -- is never evaluated off the main thread
-(:class:`~repro.errors.UncertifiedKernelError`).  Unknown classes (e.g.
-operators defined in tests) are certified on demand from their source;
-classes whose source cannot be read stay uncertified.
+``repro analyze`` exports the :class:`CertificateRegistry` and the
+tier-1 suite requires every registered operator to certify pure.
+Unknown classes (e.g. operators defined in tests) are certified on
+demand from their source; classes whose source cannot be read stay
+uncertified.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from ..errors import UncertifiedKernelError
 from .purity import (
     KERNEL_METHODS,
     analyze_kernel,
@@ -49,7 +48,7 @@ CERTIFICATE_VERSION = 1
 
 @dataclass(frozen=True)
 class OperatorCertificate:
-    """The analyzer's parallel-safety verdict for one operator class."""
+    """The analyzer's purity verdict for one operator class."""
 
     operator: str
     module: str
@@ -172,7 +171,7 @@ class CertificateRegistry:
 
     ``get`` certifies unknown classes on demand so operators defined in
     tests work without pre-registration; classes whose source cannot be
-    analyzed simply stay impure, which the fail-closed gate rejects.
+    analyzed simply stay impure.
     """
 
     def __init__(
@@ -198,23 +197,6 @@ class CertificateRegistry:
         with self._lock:
             self._by_class[cls] = cert
             self._by_name.setdefault(cert.operator, cert)
-        return cert
-
-    def check(self, op: Any) -> OperatorCertificate:
-        """Gate one operator instance; raise fail-closed when impure.
-
-        Crossing the thread boundary of the evaluation pool requires
-        purity: the kernel shares its input buffers with sibling
-        worker threads.
-        """
-        cert = self.get(type(op))
-        if not cert.pure:
-            detail = "; ".join(cert.issues) or "no certificate"
-            raise UncertifiedKernelError(
-                f"refusing to dispatch {type(op).__name__} off the main "
-                f"thread: {detail} (run with workers=1, or fix the kernel "
-                "and re-run `repro analyze`)"
-            )
         return cert
 
     def certificates(self) -> list[OperatorCertificate]:
@@ -263,16 +245,3 @@ def build_registry() -> CertificateRegistry:
     for cls in registered_operator_classes():
         registry.get(cls)
     return registry
-
-
-_default_registry: CertificateRegistry | None = None
-_default_lock = threading.Lock()
-
-
-def default_registry() -> CertificateRegistry:
-    """The lazily-built process-wide registry the evaluation pool uses."""
-    global _default_registry
-    with _default_lock:
-        if _default_registry is None:
-            _default_registry = build_registry()
-        return _default_registry

@@ -1,15 +1,16 @@
 """Concurrency lints (rule family ``concurrency.*``).
 
-The evaluation pool runs kernels on worker threads while the scheduler's
-collect / evaluate / commit barrier keeps results deterministic.  That
-contract survives only if code reachable from the pool follows the
-repo's concurrency idioms -- one lock per shared structure, every
-mutation under it, kernels touching nothing but their inputs.  Four
-lints:
+Engine code runs on more than one host thread at once: the serving
+engine evaluates batches on its own thread while callers run other
+simulations, and a shared :class:`~repro.engine.memo.IntermediateCache`
+hands one intermediate to every operator and run that reuses it.  That
+is safe only if engine code follows the repo's concurrency idioms --
+one lock per shared structure, every mutation under it, kernels
+touching nothing but their inputs.  Four lints:
 
 * ``concurrency.self-mutation`` (error) -- a kernel method
   (``evaluate`` / ``work_profile`` / ``mask``) writes ``self``.  One
-  operator instance is evaluated for many partitions concurrently;
+  operator instance is evaluated for many partitions and submissions;
   instance state is shared state.
 * ``concurrency.global-write`` (error) -- a ``global`` rebind in a
   pool-reachable module outside a ``with <lock>:`` block.
@@ -37,7 +38,7 @@ from .source import (
     walk_with_stack,
 )
 
-#: Module families whose code can run on evaluation-pool workers.
+#: Module families whose code can run on more than one host thread.
 POOL_REACHABLE_PREFIXES = (
     "repro.operators",
     "repro.engine",
@@ -173,8 +174,8 @@ class ConcurrencyRule(CodeRule):
                     "concurrency.global-write",
                     "error",
                     f"unlocked write to module global "
-                    f"{', '.join(sorted(names))} in {func.name}; pool "
-                    "workers read this concurrently",
+                    f"{', '.join(sorted(names))} in {func.name}; other "
+                    "host threads read this concurrently",
                     line=stmt.lineno,
                     hint="guard the write with a module-level lock "
                     "(with _lock: ...)",

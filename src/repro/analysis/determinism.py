@@ -1,8 +1,9 @@
 """Determinism lints (rule family ``determinism.*``).
 
-The engine's core guarantee is that a plan's result -- and its canonical
-trace -- is bit-identical at any host worker count.  Anything that leaks
-host state into computed values breaks that silently.  Four lints:
+The engine's core guarantee is that a plan's result -- and its
+canonical trace -- is bit-identical across repeated runs and hosts.
+Anything that leaks host state into computed values breaks that
+silently.  Four lints:
 
 * ``determinism.unseeded-rng`` (error) -- ``np.random.default_rng()``
   with no seed, any legacy ``np.random.*`` module-level call, or a
@@ -10,9 +11,8 @@ host state into computed values breaks that silently.  Four lints:
   ``Config.seed`` through explicit ``Generator`` objects.
 * ``determinism.host-time`` (warn) -- ``time.time`` / ``perf_counter``
   / ``datetime.now`` outside the host-only module families (observe's
-  host spans, the evaluation pool's stats, the bench harness, the
-  analyzer itself).  Host clocks must never feed simulated time,
-  canonical traces, or cache keys.
+  host spans, the bench harness, the analyzer itself).  Host clocks
+  must never feed simulated time, canonical traces, or cache keys.
 * ``determinism.id-key`` (error) -- an ``id(...)`` call outside the
   host-only families.  CPython ids are allocation addresses: two runs of
   the same plan produce different ids, so an id-derived key poisons
@@ -33,7 +33,6 @@ from .source import call_name, walk_with_stack
 #: Module-name prefixes allowed to read host clocks / use id().
 HOST_ONLY_PREFIXES = (
     "repro.observe",
-    "repro.engine.evalpool",
     # The live serving engine stamps host_batch_ms on responses -- a
     # host-side observability field, stripped from every deterministic
     # surface (canonical bytes, ServeReport goldens).

@@ -1,10 +1,10 @@
 """Kernel purity / effect analysis (rule family ``purity.*``).
 
 An operator kernel -- the ``evaluate`` / ``work_profile`` / ``mask``
-methods dispatched by the evaluation pool -- must be a pure function of
-its inputs: column buffers are shared across worker threads, so an
-in-place write to anything reachable from the inputs is a data race and
-silently corrupts sibling partitions.
+methods the scheduler dispatches -- must be a pure function of its
+inputs: column buffers and memoized intermediates are shared by every
+partition, clone and run that reads them, so an in-place write to
+anything reachable from the inputs silently corrupts its siblings.
 
 The analysis is a forward taint pass over each kernel's AST.  *Tainted*
 names alias caller-owned memory:
@@ -57,7 +57,7 @@ from .source import (
     root_name,
 )
 
-#: Methods the evaluation pool dispatches -- the kernel surface.
+#: Methods the scheduler dispatches -- the kernel surface.
 KERNEL_METHODS = ("evaluate", "work_profile", "mask")
 
 #: Calls that forward aliasing from argument to result.
@@ -458,6 +458,6 @@ class PurityRule(CodeRule):
                     "error",
                     f"{owner} writes module-level state: {desc}",
                     line=line,
-                    hint="kernels run concurrently on pool workers; pass "
-                    "state through operator params instead",
+                    hint="kernels are shared by every partition and run; "
+                    "pass state through operator params instead",
                 )

@@ -18,8 +18,8 @@ execution invariants, enabled with ``execute(..., sanitize=True)`` or
    collection order, so the first occurrences of job indexes in batch
    order must be exactly ``0, 1, 2, ...``.
 3. **Trace fingerprint** -- every committed value folds into a rolling
-   fingerprint; :func:`verify_dual_run` executes a plan at ``workers=1``
-   and ``workers=N`` and requires bit-identical fingerprints.
+   fingerprint; :func:`verify_dual_run` executes a plan twice on fresh
+   simulators and requires bit-identical fingerprints.
 
 Checksumming reads every input buffer once per dispatch round, so the
 sanitizer costs host wall-clock (bounded in ``docs/perf.md``); it never
@@ -144,8 +144,8 @@ class Sanitizer:
     """Verifies execution invariants around each dispatch round.
 
     One instance per :class:`~repro.engine.scheduler.Simulator`; all
-    calls happen on the main thread (snapshot before the batch is
-    handed to the pool, verification after it drains), so the sanitizer
+    calls happen on the simulator's thread (verification after each
+    batch is evaluated, recording at each commit), so the sanitizer
     itself needs no locking.
     """
 
@@ -363,42 +363,30 @@ class Sanitizer:
 
 
 def verify_dual_run(
-    plan: "Plan",
-    config: "SimulationConfig | None" = None,
-    *,
-    workers: int | None = None,
+    plan: "Plan", config: "SimulationConfig | None" = None
 ) -> str:
-    """Execute ``plan`` serially and at ``workers`` and cross-check.
+    """Execute ``plan`` twice on fresh simulators and cross-check.
 
     Both runs execute under the sanitizer; their rolling commit
     fingerprints must match bit-for-bit (the engine's central
     determinism guarantee).  Returns the common fingerprint.
     """
     from ..config import SimulationConfig
-    from ..engine.evalpool import EvalPool, default_workers
     from ..engine.scheduler import Simulator
 
     if config is None:
         config = SimulationConfig()
-    if workers is None:
-        workers = max(2, default_workers())
     fingerprints: list[str] = []
-    for count in (1, workers):
+    for __ in range(2):
         sanitizer = Sanitizer()
-        pool = EvalPool(count) if count > 1 else None
-        try:
-            simulator = Simulator(config, evalpool=pool, sanitizer=sanitizer)
-            sid = simulator.submit(plan)
-            simulator.run()
-            simulator.result(sid)
-        finally:
-            if pool is not None:
-                pool.close()
+        simulator = Simulator(config, sanitizer=sanitizer)
+        sid = simulator.submit(plan)
+        simulator.run()
+        simulator.result(sid)
         fingerprints.append(sanitizer.fingerprint)
     if fingerprints[0] != fingerprints[1]:
         raise SanitizerError(
-            f"dual-run fingerprint mismatch: workers=1 -> "
-            f"{fingerprints[0]}, workers={workers} -> {fingerprints[1]}; "
-            "results are not worker-invariant"
+            f"dual-run fingerprint mismatch: {fingerprints[0]} then "
+            f"{fingerprints[1]}; results are not repeatable"
         )
     return fingerprints[0]

@@ -6,15 +6,11 @@ from .scaleout import (
     format_scaleout_report,
     run_scaleout,
 )
-from .wallclock import check_report, format_report, run_wallclock
 
 __all__ = [
     "ComparisonRow",
     "ExperimentReport",
-    "check_report",
     "check_scaleout_report",
-    "format_report",
     "format_scaleout_report",
     "run_scaleout",
-    "run_wallclock",
 ]

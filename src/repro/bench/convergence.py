@@ -40,8 +40,13 @@ from ..core.adaptive import AdaptiveResult
 from ..errors import ReproError
 from ..learn import POLICY_BANDIT, POLICY_CREDIT_DEBIT, POLICY_WARMSTART, ExperienceStore
 from ..plan import Plan
-from ..workloads import ALL_DS_QUERIES, ALL_QUERIES, TpcdsDataset, TpchDataset
-from .wallclock import q1_style_plan
+from ..workloads import (
+    ALL_DS_QUERIES,
+    ALL_QUERIES,
+    TpcdsDataset,
+    TpchDataset,
+    q1_style_plan,
+)
 
 #: Schema tag so downstream tooling can detect format changes.
 SCHEMA = "repro/bench_convergence/v1"

@@ -2,14 +2,14 @@
 
 Determinism contract
 --------------------
-Every random draw happens on the simulator's main thread, in event
-order: one ``draw_dispatch`` per committed operator dispatch (in the
-scheduler's dispatch-order commit barrier) and one ``draw_disconnect``
-per query submission (in the workload service layer).  Both orders are
-properties of *simulated* execution, which is bit-identical for any
-host ``workers`` count -- so the fault schedule is too.  Nothing in
-this module may consult wall-clock time, host thread identity, or any
-other non-simulated state.
+Every random draw happens in simulated-event order: one
+``draw_dispatch`` per committed operator dispatch (in the scheduler's
+dispatch-order commit barrier) and one ``draw_disconnect`` per query
+submission (in the workload service layer).  Both orders are properties
+of *simulated* execution, which is bit-identical across repeated runs
+-- so the fault schedule is too.  Nothing in this module may consult
+wall-clock time, host thread identity, or any other non-simulated
+state.
 """
 
 from __future__ import annotations

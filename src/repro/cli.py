@@ -17,15 +17,16 @@ Commands
 ``analyze [PATHS ...]``
     Run the codebase analyzer (kernel purity, determinism, concurrency
     lints) over the installed ``repro`` package or the given paths, and
-    print the per-operator parallel-safety certificate registry.  Same
+    print the per-operator purity certificate registry.  Same
     severity and exit-code convention as ``lint``; ``--baseline FILE``
     suppresses known findings, ``--write-baseline FILE`` records the
     current ones.  See ``docs/static_analysis.md``.
 ``bench NAME``
     Run one of the paper's experiments (``fig11``, ``fig12`` ...) and
-    print its paper-vs-measured report.  ``bench --wallclock`` instead
-    measures host wall-clock of full adaptive instances with the
-    cross-run result cache off vs on (see ``docs/perf.md``).
+    print its paper-vs-measured report.  ``bench --convergence`` and
+    ``bench --scaleout`` run the policy and scale-out suites and write
+    their JSON reports.  Host time is measured by ``perfbench/`` (see
+    ``docs/perf.md``).
 ``chaos``
     Fault-injection demo (see ``docs/robustness.md``): a resilient
     closed-loop workload rides out injected operator crashes,
@@ -127,14 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="print the per-run trace"
     )
     adapt.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="host workers evaluating ready operators "
-        "(default: usable cpu count; results are identical for any N)",
-    )
-    adapt.add_argument(
         "--verbose",
         action="store_true",
         help="print each mutation with its analyzer summary",
@@ -197,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="statically analyze the codebase (kernel parallel safety)",
+        help="statically analyze the codebase (kernel purity)",
     )
     analyze.add_argument(
         "paths",
@@ -243,47 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="experiment id (or 'list')",
     )
     bench.add_argument(
-        "--wallclock",
-        action="store_true",
-        help="measure host wall-clock of adaptive instances, cache off vs on",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="wallclock: smaller data, fewer runs"
+        "--quick", action="store_true", help="smaller data, fewer runs"
     )
     bench.add_argument(
         "--output",
         metavar="FILE",
-        default="BENCH_wallclock.json",
-        help="wallclock: where to write the JSON report",
-    )
-    bench.add_argument(
-        "--min-hit-rate",
-        type=float,
         default=None,
-        metavar="X",
-        help="wallclock: fail if any workload's cache hit rate is below X",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if any workload's host speedup is below X",
-    )
-    bench.add_argument(
-        "--workers",
-        default=None,
-        metavar="N[,M...]",
-        help="wallclock: comma-separated evaluation-pool worker counts to "
-        "sweep (workers=1 is always included; default: 1 and host cpu count)",
-    )
-    bench.add_argument(
-        "--max-worker-slowdown",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if any pooled run is more than X times "
-        "slower than workers=1",
+        help="where to write the JSON report (default: "
+        "BENCH_convergence.json or BENCH_scaleout.json)",
     )
     bench.add_argument(
         "--convergence",
@@ -375,14 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="client-side timeout per submission, simulated seconds",
     )
     chaos.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="host workers evaluating ready operators "
-        "(results are identical for any N)",
-    )
-    chaos.add_argument(
         "--no-adapt",
         action="store_true",
         help="skip the adaptive-convergence-under-chaos half",
@@ -433,10 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _dataset_args(serve)
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="host threads evaluating ready operators",
-    )
-    serve.add_argument(
         "--tenants", metavar="FILE", default=None,
         help="tenant directory JSON (default: gold/silver/bronze)",
     )
@@ -477,14 +425,6 @@ def _observe_args(parser: argparse.ArgumentParser) -> None:
         "--adaptive",
         action="store_true",
         help="trace a whole adaptive instance instead of one execution",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="host threads evaluating ready operators "
-        "(canonical output is identical for any N)",
     )
     parser.add_argument(
         "--host-time",
@@ -581,12 +521,8 @@ def _cmd_adapt(args) -> int:
     else:
         plan = plan_sql(args.sql, dataset.catalog)
         name = "ad-hoc query"
-    from .engine.evalpool import default_workers
-
-    workers = args.workers if args.workers is not None else default_workers()
     parallelizer = AdaptiveParallelizer(
         config,
-        workers=workers,
         policy=args.policy,
         experience=args.experience,
     )
@@ -762,12 +698,10 @@ def _cmd_bench(args) -> int:
         return _cmd_bench_scaleout(args)
     if args.convergence:
         return _cmd_bench_convergence(args)
-    if args.wallclock:
-        return _cmd_bench_wallclock(args)
     if args.name is None:
         raise ReproError(
-            "bench needs an experiment name (or "
-            "--wallclock/--convergence/--scaleout)"
+            "bench needs an experiment name, 'list', --convergence or "
+            "--scaleout"
         )
     if args.name == "list":
         for name, (module, __) in sorted(_EXPERIMENTS.items()):
@@ -782,35 +716,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_bench_wallclock(args) -> int:
-    import json
-
-    from .bench.wallclock import check_report, format_report, run_wallclock
-
-    workers = None
-    if args.workers is not None:
-        try:
-            workers = [int(part) for part in str(args.workers).split(",") if part]
-        except ValueError:
-            raise ReproError(
-                f"--workers wants comma-separated integers, got {args.workers!r}"
-            ) from None
-    report = run_wallclock(quick=args.quick, workers=workers)
-    print(format_report(report))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    check_report(
-        report,
-        min_hit_rate=args.min_hit_rate,
-        min_speedup=args.min_speedup,
-        max_worker_slowdown=args.max_worker_slowdown,
-    )
-    return 0
-
-
 def _cmd_bench_convergence(args) -> int:
     import json
 
@@ -822,9 +727,7 @@ def _cmd_bench_convergence(args) -> int:
 
     report = run_convergence(quick=args.quick)
     print(format_convergence_report(report))
-    output = args.output
-    if output == "BENCH_wallclock.json":  # the bench-wide default
-        output = "BENCH_convergence.json"
+    output = "BENCH_convergence.json" if args.output is None else args.output
     if output:
         with open(output, "w") as handle:
             json.dump(report, handle, indent=2)
@@ -864,9 +767,7 @@ def _cmd_bench_scaleout(args) -> int:
             ) from None
     report = run_scaleout(quick=args.quick, nodes=nodes)
     print(format_scaleout_report(report))
-    output = args.output
-    if output == "BENCH_wallclock.json":  # the bench-wide default
-        output = "BENCH_scaleout.json"
+    output = "BENCH_scaleout.json" if args.output is None else args.output
     if output:
         with open(output, "w") as handle:
             json.dump(report, handle, indent=2)
@@ -908,7 +809,6 @@ def _cmd_chaos(args) -> int:
         horizon=args.horizon,
         faults=fault_plan,
         resilience=ResilienceConfig(timeout=args.timeout),
-        workers=args.workers,
     )
     report = workload.run()
     print(f"workload: {args.clients} clients x {args.horizon:g}s simulated on "
@@ -967,15 +867,13 @@ def _observed_run(args):
         name = "ad-hoc query"
     observer = Observer(host_time=args.host_time)
     if args.adaptive:
-        parallelizer = AdaptiveParallelizer(
-            config, workers=args.workers, observe=observer
-        )
+        parallelizer = AdaptiveParallelizer(config, observe=observer)
         try:
             parallelizer.optimize(plan)
         finally:
             parallelizer.close()
     else:
-        execute(plan, config, workers=args.workers, trace=observer)
+        execute(plan, config, trace=observer)
     observer.finish()
     return name, observer
 
@@ -1063,7 +961,6 @@ async def _serve_async(args) -> int:
         tenants=tenants,
         host=args.host,
         port=args.port,
-        workers=args.workers,
     )
     await server.start()
     print(f"serving on {server.host}:{server.port} "
@@ -1091,7 +988,6 @@ async def _serve_async(args) -> int:
         spec,
         config=config.with_seed(spec.seed),
         catalog=dataset.catalog,
-        workers=args.workers,
         metrics=server.metrics,
         metrics_lock=server.metrics_lock,
     )

@@ -292,7 +292,6 @@ class ClusterAdaptiveParallelizer(AdaptiveParallelizer):
                     self.cluster,
                     config,
                     memo=self.memo,
-                    evalpool=self.evalpool,
                     faults=self.faults,
                     trace=self.observe,
                 )

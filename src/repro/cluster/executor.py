@@ -23,7 +23,6 @@ from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultPlan
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
-from ..engine.evalpool import EvalPool
 from ..engine.executor import _resolve_faults, _resolve_sanitize
 from ..engine.memo import IntermediateCache
 from ..engine.scheduler import ExecutionResult
@@ -44,8 +43,6 @@ def cluster_execute(
     *,
     analyze: bool = False,
     memo: IntermediateCache | None = None,
-    evalpool: EvalPool | None = None,
-    workers: int | None = None,
     faults: FaultInjector | FaultPlan | None = None,
     trace: Observer | None = None,
     sanitize: bool | None = None,
@@ -54,8 +51,8 @@ def cluster_execute(
 
     ``config`` describes one *node* (``config.machine`` must equal
     ``cluster.node``); the simulator flattens it to the cluster machine.
-    All the single-machine knobs (memoization, evaluation pool, chaos,
-    tracing, sanitizer) compose unchanged -- see
+    All the single-machine knobs (memoization, chaos, tracing,
+    sanitizer) compose unchanged -- see
     :func:`repro.engine.executor.execute` for their contracts.
     """
     if analyze:
@@ -69,35 +66,16 @@ def cluster_execute(
         config = SimulationConfig(machine=cluster.node)
     injector = _resolve_faults(faults, config)
     sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    if evalpool is None and workers is not None and workers > 1:
-        with EvalPool(workers) as pool:
-            simulator = ClusterSimulator(
-                cluster,
-                config,
-                memo=memo,
-                evalpool=pool,
-                faults=injector,
-                observe=trace,
-                sanitizer=sanitizer,
-            )
-            sid = simulator.submit(plan)
-            simulator.run()
-            if trace is not None:
-                trace.record_pool(pool.stats())
-            return simulator.result(sid)
     simulator = ClusterSimulator(
         cluster,
         config,
         memo=memo,
-        evalpool=evalpool,
         faults=injector,
         observe=trace,
         sanitizer=sanitizer,
     )
     sid = simulator.submit(plan)
     simulator.run()
-    if trace is not None and evalpool is not None:
-        trace.record_pool(evalpool.stats())
     return simulator.result(sid)
 
 
@@ -120,7 +98,6 @@ def execute_with_failover(
     faults: FaultInjector | FaultPlan | None = None,
     max_failovers: int | None = None,
     memo: IntermediateCache | None = None,
-    evalpool: EvalPool | None = None,
     trace: Observer | None = None,
 ) -> FailoverResult:
     """Run a sharded query, failing over to replicas on node failures.
@@ -152,7 +129,6 @@ def execute_with_failover(
                 config.with_seed(config.seed + attempt),
                 faults=injector,
                 memo=memo,
-                evalpool=evalpool,
                 trace=trace,
             )
             return FailoverResult(

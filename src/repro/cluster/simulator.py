@@ -41,7 +41,6 @@ from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultKind
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
-from ..engine.evalpool import EvalPool
 from ..engine.memo import IntermediateCache
 from ..engine.scheduler import Simulator, _PendingDispatch, _Task
 from ..errors import ClusterError
@@ -60,7 +59,6 @@ class ClusterSimulator(Simulator):
         config: SimulationConfig,
         *,
         memo: IntermediateCache | None = None,
-        evalpool: EvalPool | None = None,
         faults: FaultInjector | None = None,
         observe: Observer | None = None,
         sanitizer: Sanitizer | None = None,
@@ -73,7 +71,6 @@ class ClusterSimulator(Simulator):
         super().__init__(
             cluster.sim_config(config),
             memo=memo,
-            evalpool=evalpool,
             faults=faults,
             observe=observe,
             sanitizer=sanitizer,

@@ -27,9 +27,8 @@ Three configurations cover every caller: :func:`background_load` (the
 figures' fault-free load, timed with :meth:`ClosedLoop.measure_plan`),
 :class:`ResilientWorkload` (one FIFO lane under chaos) and
 :class:`~repro.serve.service.TenantLoadService` (one lane per tenant).
-Every RNG draw and decision happens on the simulator main thread in
-simulated-event order, so one seed gives bit-identical reports and
-traces at any host ``workers`` count.
+Every RNG draw and decision happens in simulated-event order, so one
+seed gives bit-identical reports and traces.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import numpy as np
 from ..chaos.faults import FaultPlan
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
-from ..engine.evalpool import EvalPool
 from ..engine.memo import IntermediateCache
 from ..engine.scheduler import ExecutionResult, Simulator
 from ..errors import InjectedFaultError, ReproError
@@ -159,8 +157,8 @@ class WorkloadReport:
         """A plain-data projection, the bit-reproducibility surface.
 
         Two runs with the same seed must produce *equal* dictionaries
-        (including every individual response time), at any host worker
-        count -- the chaos property tests compare exactly this.
+        (including every individual response time) -- the chaos
+        property tests compare exactly this.
         """
         doc = asdict(self)
         doc["by_client"] = dict(sorted(doc["by_client"].items()))
@@ -291,7 +289,6 @@ class ClosedLoop:
         seed: int,
         faults: FaultInjector | FaultPlan | None = None,
         max_in_flight: int | None = None,
-        workers: int | None = None,
         observe: Observer | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_lock: threading.Lock | None = None,
@@ -322,20 +319,15 @@ class ClosedLoop:
         self.seed = seed
         self.faults = faults
         self.max_in_flight = max_in_flight
-        self.workers = workers
         self.observe = observe
         self.metrics = metrics
         self.metrics_lock = metrics_lock if metrics_lock is not None else threading.Lock()
-        self.pool: EvalPool | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> WorkloadReport:
         """Run every client to the horizon, drain, and report."""
-        try:
-            self._start()
-            self.simulator.run()
-        finally:
-            self._close_pool()
+        self._start()
+        self.simulator.run()
         return self._report()
 
     def measure_plan(
@@ -347,29 +339,19 @@ class ClosedLoop:
         machine is saturated when the probe arrives; the probe bypasses
         admission (it is the measurement, not a client).
         """
-        try:
-            self._start()
-            self._run_until(warmup)
-            sid = self.simulator.submit(
-                plan, client="probe", max_threads=max_threads
-            )
-            self.simulator.run()
-        finally:
-            self._close_pool()
+        self._start()
+        self._run_until(warmup)
+        sid = self.simulator.submit(plan, client="probe", max_threads=max_threads)
+        self.simulator.run()
         return self.simulator.result(sid)
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
         """Fresh per-run state, then the clients' first arrivals."""
-        workers = self.workers
-        if workers is not None and workers > 1:
-            self.pool = EvalPool(workers)
-        self.pool_stats = None
         self.injector = self.faults.spawn() if self.faults is not None else None
         self._disconnect_draws = self.injector if self.disconnects else None
         self.simulator = Simulator(
             self.config,
-            evalpool=self.pool,
             faults=self.injector,
             memo=IntermediateCache() if self.memo else None,
             observe=self.observe,
@@ -410,12 +392,6 @@ class ClosedLoop:
             if simulator.now >= when:
                 break
 
-    def _close_pool(self) -> None:
-        if self.pool is not None:
-            self.pool_stats = self.pool.stats()
-            self.pool.close()
-            self.pool = None
-
     def _report(self) -> WorkloadReport:
         totals: Counter[str] = Counter()
         for (__, kind), n in self.counts.items():
@@ -446,8 +422,6 @@ class ClosedLoop:
                 "repro_service_peak_queue_depth",
                 "maximum admission-queue depth observed",
             ).set(float(report.peak_queue_depth))
-            if self.pool_stats is not None:
-                obs.record_pool(self.pool_stats)
         return report
 
     def _note(self, kind: str, client: Client, **attrs) -> None:
@@ -662,7 +636,6 @@ class ResilientWorkload(ClosedLoop):
         faults: FaultInjector | FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
         max_in_flight: int | None = None,
-        workers: int | None = None,
         observe: Observer | None = None,
     ) -> None:
         super().__init__(
@@ -672,6 +645,5 @@ class ResilientWorkload(ClosedLoop):
             seed=config.derive_seed("service.clients"),
             faults=faults,
             max_in_flight=max_in_flight,
-            workers=workers,
             observe=observe,
         )

@@ -21,7 +21,6 @@ import os
 from ..chaos.faults import FaultPlan
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
-from ..engine.evalpool import EvalPool
 from ..engine.executor import execute
 from ..engine.memo import IntermediateCache
 from ..engine.scheduler import ExecutionResult
@@ -178,7 +177,6 @@ class AdaptiveParallelizer:
         runner: Runner | None = None,
         mutations_per_run: int = 1,
         memoize: bool = True,
-        workers: int | None = None,
         faults: FaultInjector | FaultPlan | None = None,
         fault_retries: int = 5,
         observe: Observer | None = None,
@@ -210,15 +208,6 @@ class AdaptiveParallelizer:
         # host wall-clock changes; simulated times are bit-identical.
         self.memo: IntermediateCache | None = (
             IntermediateCache() if memoize else None
-        )
-        # Host evaluation pool: every run's simultaneously-ready
-        # operators are evaluated on ``workers`` host threads, with a
-        # dispatch-order commit barrier keeping simulated results
-        # bit-identical for any worker count.  Without ``workers > 1``
-        # the instance evaluates inline; the pool is shared across all
-        # runs of the instance.
-        self.evalpool: EvalPool | None = (
-            EvalPool(workers) if workers is not None and workers > 1 else None
         )
         # Chaos harness: the robustness experiment (Figure 18 under
         # faults) runs the whole adaptive loop with injected operator
@@ -273,15 +262,13 @@ class AdaptiveParallelizer:
         return self.policy != POLICY_CREDIT_DEBIT or self.experience is not None
 
     def close(self) -> None:
-        """Release pooled workers and persist experience (idempotent).
+        """Persist experience (idempotent).
 
-        Mirrors the ``EvalPool.close()`` contract: safe to call any
-        number of times, safe from ``atexit``.  An owned experience
-        store (constructed from a path) is closed; a shared store
-        instance is flushed but left usable for its other owners.
+        Safe to call any number of times, safe from ``atexit``.  An
+        owned experience store (constructed from a path) is closed; a
+        shared store instance is flushed but left usable for its other
+        owners.
         """
-        if self.evalpool is not None:
-            self.evalpool.close()
         if self.experience is not None and not self.experience.closed:
             if self._owns_experience:
                 self.experience.close()
@@ -309,7 +296,6 @@ class AdaptiveParallelizer:
                     plan,
                     config,
                     memo=self.memo,
-                    evalpool=self.evalpool,
                     faults=self.faults,
                     trace=self.observe,
                 )

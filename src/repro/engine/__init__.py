@@ -1,27 +1,23 @@
 """Discrete-event multi-core execution engine."""
 
-from .evalpool import EvalFailure, EvalPool, PoolStats, default_workers, settle_job
 from .executor import execute
 from .machine import HardwareThread, MachineState
 from .memo import CacheStats, IntermediateCache
 from .noise import NoiseModel
 from .profiler import OpRecord, QueryProfile
-from .scheduler import ExecutionResult, Simulator
+from .scheduler import EvalFailure, ExecutionResult, Simulator, settle_job
 
 __all__ = [
     "CacheStats",
     "EvalFailure",
-    "EvalPool",
     "ExecutionResult",
     "HardwareThread",
     "IntermediateCache",
     "MachineState",
     "NoiseModel",
     "OpRecord",
-    "PoolStats",
     "QueryProfile",
     "Simulator",
-    "default_workers",
     "execute",
     "settle_job",
 ]

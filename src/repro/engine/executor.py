@@ -12,7 +12,6 @@ from ..errors import PlanError
 from ..observe import Observer
 from ..plan.analysis import analyze_plan
 from ..plan.graph import Plan
-from .evalpool import EvalPool
 from .memo import IntermediateCache
 from .scheduler import ExecutionResult, Simulator
 
@@ -43,8 +42,6 @@ def execute(
     *,
     analyze: bool = False,
     memo: IntermediateCache | None = None,
-    evalpool: EvalPool | None = None,
-    workers: int | None = None,
     faults: FaultInjector | FaultPlan | None = None,
     trace: Observer | None = None,
     sanitize: bool | None = None,
@@ -64,12 +61,6 @@ def execute(
     plans skip redundant host-side operator work; simulated results are
     identical with or without it.
 
-    ``evalpool`` shares an :class:`~repro.engine.evalpool.EvalPool` that
-    evaluates simultaneously-ready operators on host worker threads;
-    passing ``workers=N`` instead spins up -- and tears down -- a pool
-    for just this call.  Simulated results are bit-identical for any
-    worker count.
-
     ``faults`` injects chaos: pass a
     :class:`~repro.chaos.faults.FaultPlan` (an injector is derived from
     the config seed) or a prepared
@@ -84,8 +75,8 @@ def execute(
     metrics accumulate there.  The same observer may be reused across
     calls to correlate a sequence of executions on one timeline (see
     :attr:`repro.observe.Tracer.time_base`).  Tracing never changes
-    simulated results and its canonical output is bit-identical for any
-    ``workers`` value.
+    simulated results and its canonical output is bit-identical across
+    repeated runs.
 
     ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the environment) runs
     the whole execution under the runtime sanitizer
@@ -107,31 +98,9 @@ def execute(
         config = SimulationConfig()
     injector = _resolve_faults(faults, config)
     sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    if evalpool is None and workers is not None and workers > 1:
-        with EvalPool(workers) as pool:
-            simulator = Simulator(
-                config,
-                memo=memo,
-                evalpool=pool,
-                faults=injector,
-                observe=trace,
-                sanitizer=sanitizer,
-            )
-            sid = simulator.submit(plan)
-            simulator.run()
-            if trace is not None:
-                trace.record_pool(pool.stats())
-            return simulator.result(sid)
     simulator = Simulator(
-        config,
-        memo=memo,
-        evalpool=evalpool,
-        faults=injector,
-        observe=trace,
-        sanitizer=sanitizer,
+        config, memo=memo, faults=injector, observe=trace, sanitizer=sanitizer
     )
     sid = simulator.submit(plan)
     simulator.run()
-    if trace is not None and evalpool is not None:
-        trace.record_pool(evalpool.stats())
     return simulator.result(sid)

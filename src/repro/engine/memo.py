@@ -102,7 +102,7 @@ class IntermediateCache:
 
     Thread safety: one lock guards every entry and counter mutation, so
     a cache may be shared between executors running on different host
-    threads (the evaluation pool exposed races in the bare counters).
+    threads (the serving engine's thread and its callers).
     Counters are only readable through :meth:`stats`, which returns an
     immutable snapshot taken under the lock.
     """

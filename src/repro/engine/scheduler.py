@@ -34,7 +34,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultKind
@@ -46,7 +46,6 @@ from ..observe import Observer
 from ..operators.base import Operator, WorkProfile
 from ..plan.graph import Plan, PlanNode
 from ..storage.column import Intermediate, intermediate_nbytes
-from .evalpool import EvalFailure, EvalPool, settle_job
 from .machine import HardwareThread, MachineState
 from .memo import IntermediateCache
 from .noise import NoiseModel
@@ -234,11 +233,10 @@ class _PendingDispatch:
 
     ``_dispatch`` first *collects* every runnable (submission, node,
     thread) triple in deterministic scheduler order, then evaluates the
-    batch (optionally on the host evaluation pool), then *commits* each
-    entry strictly in collection order.  All simulated-state mutation --
-    noise draws, memo counters, cost charging, NUMA homing -- happens at
-    commit time on the main thread, which is what keeps results
-    bit-identical for any host worker count.
+    batch, then *commits* each entry strictly in collection order.  All
+    simulated-state mutation -- noise draws, memo counters, cost
+    charging, NUMA homing -- happens at commit time, so a failing or
+    memo-shared evaluation cannot reorder it.
     """
 
     __slots__ = (
@@ -266,9 +264,44 @@ class _PendingDispatch:
         #: result comes from ``peeked`` instead.
         self.job_index = -1
         #: Injected-fault decision for this dispatch (chaos harness);
-        #: drawn at collection time on the main thread so the schedule
-        #: is deterministic for any host worker count.
+        #: drawn at collection time, in collection order.
         self.fault: FaultDecision | None = None
+
+
+class EvalFailure:
+    """A settled evaluation error: the kernel raised instead of returning.
+
+    Failures travel through the batch as *values* so a raising operator
+    cannot abort its siblings mid-flight: every job runs, results come
+    back in batch order, and the dispatch-order commit barrier decides
+    -- deterministically -- which submission a failure kills and whether
+    it propagates or is retried.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"EvalFailure({self.error!r})"
+
+
+def settle_job(job: Callable[[], Any]) -> Callable[[], Any]:
+    """Wrap ``job`` so an exception settles into an :class:`EvalFailure`.
+
+    ``KeyboardInterrupt``/``SystemExit`` still propagate; everything
+    else -- genuine operator bugs and injected chaos alike -- is
+    captured for the commit barrier to resolve in dispatch order.
+    """
+
+    def settled() -> Any:
+        try:
+            return job()
+        except Exception as exc:  # noqa: BLE001 - settled by design
+            return EvalFailure(exc)
+
+    return settled
 
 
 def _make_eval_job(
@@ -290,15 +323,9 @@ class Simulator:
     unaffected -- the roofline model still charges the same work -- only
     host wall-clock changes.
 
-    ``evalpool`` plugs in an :class:`~repro.engine.evalpool.EvalPool`
-    that evaluates each dispatch round's ready operators concurrently on
-    host threads.  Results are committed in dispatch order regardless of
-    host completion order, so simulated results are bit-identical with
-    or without the pool, at any worker count.
-
     ``faults`` plugs in a :class:`~repro.chaos.injector.FaultInjector`:
-    every committed dispatch consults it (in dispatch order, on the main
-    thread) and may crash, slow down, or memory-starve the operator.
+    every committed dispatch consults it (in dispatch order) and may
+    crash, slow down, or memory-starve the operator.
     Submissions killed by a fault -- injected or a genuine operator
     exception -- are cleaned up without poisoning the simulator: the
     thread is released, pending work is dropped, and the exception
@@ -312,14 +339,12 @@ class Simulator:
         config: SimulationConfig,
         *,
         memo: IntermediateCache | None = None,
-        evalpool: EvalPool | None = None,
         faults: FaultInjector | None = None,
         observe: Observer | None = None,
         sanitizer: Sanitizer | None = None,
     ) -> None:
         self.config = config
         self.memo = memo
-        self.evalpool = evalpool
         self.faults = faults
         # ``sanitizer`` plugs in a repro.analysis.sanitize.Sanitizer:
         # every dispatch round's input buffers are checksummed around
@@ -331,14 +356,12 @@ class Simulator:
         # submission and per completed operator task, instant events for
         # dispatch rounds, evaluation batches, and injected faults, and
         # metric counters for all of the above.  Every emission happens
-        # on the main thread in dispatch/completion order, so the trace
-        # is bit-identical for any host worker count.  When None (the
-        # default), instrumentation costs one attribute check per site.
+        # in dispatch/completion order, so the trace is bit-identical
+        # across repeated runs.  When None (the default),
+        # instrumentation costs one attribute check per site.
         self.observe = observe
         if observe is not None and faults is not None and faults.observe is None:
             faults.observe = observe
-        if observe is not None and evalpool is not None and evalpool.observe is None:
-            evalpool.observe = observe
         self.machine = MachineState(config.machine)
         self.cost_ctx = CostContext(machine=config.machine, data_scale=config.data_scale)
         self.noise = NoiseModel(config.noise, config.rng())
@@ -480,7 +503,7 @@ class Simulator:
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at simulated time ``when`` (>= now).
 
-        Timers fire on the main thread, between dispatch rounds;
+        Timers fire between dispatch rounds;
         same-instant timers fire in registration order.  This is the
         primitive behind simulated-time backoff and client timeouts in
         the resilient workload layer.
@@ -571,9 +594,9 @@ class Simulator:
                 sub.running += 1
                 entry = _PendingDispatch(sub, node, thread)
                 if self.faults is not None:
-                    # Drawn here, on the main thread, in collection
-                    # order: the fault schedule is a pure function of
-                    # simulated dispatch order, not host parallelism.
+                    # Drawn here, in collection order: the fault
+                    # schedule is a pure function of simulated dispatch
+                    # order.
                     entry.fault = self.faults.draw_dispatch(
                         sid=sub.sid,
                         nid=sub.skeleton.node_index[node.nid],
@@ -594,13 +617,11 @@ class Simulator:
         nodes carry the peeked value, and same-batch duplicates (clones
         with equal fingerprints) share one evaluation -- the commit
         phase replays the exact hit/miss sequence the serial engine
-        produces.  The remaining unique jobs run on the evaluation pool
-        when one is attached, inline otherwise; either way the returned
-        list is in job-submission order.
+        produces.  The remaining unique jobs run in order, each settled
+        so a raising kernel cannot abort its siblings.
         """
         memo = self.memo
         jobs: list[Callable[[], tuple[Intermediate, WorkProfile]]] = []
-        ops: list[Operator] = []
         job_of_fp: dict[bytes, int] = {}
         for entry in batch:
             sub, node = entry.sub, entry.node
@@ -624,12 +645,10 @@ class Simulator:
             entry.job_index = len(jobs)
             inputs = [sub.values[child.nid] for child in node.inputs]
             jobs.append(settle_job(_make_eval_job(node.op, inputs)))
-            ops.append(node.op)
         obs = self.observe
         if obs is not None and jobs:
             # The job list is a pure function of dispatch order and memo
-            # state -- identical with or without a pool -- so this event
-            # and these counters are worker-invariant.
+            # state, so this event and these counters are canonical.
             obs.tracer.event("eval_batch", "pool", self.now, jobs=len(jobs))
             obs.metrics.counter(
                 "repro_eval_batches_total", "operator evaluation batches"
@@ -637,10 +656,6 @@ class Simulator:
             obs.metrics.counter(
                 "repro_eval_jobs_total", "real operator evaluations"
             ).inc(len(jobs))
-        if not jobs:
-            return []
-        if self.evalpool is not None:
-            return self.evalpool.run_batch(jobs, ops)
         return [job() for job in jobs]
 
     def _commit_dispatch(
@@ -650,9 +665,9 @@ class Simulator:
     ) -> None:
         """Turn one evaluated dispatch into a running simulated task.
 
-        Runs on the main thread in collection order -- the barrier that
-        keeps memo counters, noise draws, and simulated time identical
-        for any worker count.  Failures -- injected faults and genuine
+        Runs in collection order -- the barrier that keeps memo
+        counters, noise draws, and simulated time independent of how
+        the batch was evaluated.  Failures -- injected faults and genuine
         operator exceptions (settled into :class:`EvalFailure` slots by
         the evaluation phase) -- are resolved here too, in the same
         order, so "which submission died first" is deterministic.

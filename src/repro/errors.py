@@ -80,16 +80,6 @@ class AnalysisError(ReproError):
     """Misuse of the codebase static analyzer (bad paths, bad baseline)."""
 
 
-class UncertifiedKernelError(ReproError):
-    """The evaluation pool refused to dispatch an uncertified kernel.
-
-    Raised fail-closed: an operator whose parallel-safety certificate is
-    missing, or whose static analysis found effects, is never evaluated
-    off the main thread.  Run with ``workers=1`` or fix the kernel and
-    re-certify (see ``docs/static_analysis.md``).
-    """
-
-
 class SanitizerError(ReproError):
     """The runtime sanitizer detected a violated execution invariant.
 

@@ -8,10 +8,9 @@ pull every arm once, then follow the upper confidence bound until the
 incumbent has been confirmed.
 
 Determinism contract: the advisor owns a private seeded generator and
-every draw happens on the simulator's main thread in run order (the
-adaptive loop calls :meth:`select` once per run), so a fixed seed
-reproduces the exact pull sequence regardless of host ``workers`` --
-the same rule the noise and chaos streams follow.
+every draw happens in run order (the adaptive loop calls
+:meth:`select` once per run), so a fixed seed reproduces the exact pull
+sequence -- the same rule the noise and chaos streams follow.
 """
 
 from __future__ import annotations

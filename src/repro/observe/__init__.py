@@ -5,7 +5,7 @@ analysis is told through tomograph-style operator timelines ("Run-time
 environment", Section 2; Figures 19/20).  This package industrializes
 that feedback channel: one :class:`Observer` correlates an entire
 adaptive instance -- every run, every operator task, every cache and
-pool and fault event -- in a single span tree plus a metrics registry,
+fault event -- in a single span tree plus a metrics registry,
 with deterministic exporters on top.
 
 Usage::
@@ -21,14 +21,12 @@ Usage::
 
 Guarantees (enforced by the golden-trace suite under ``tests/observe``):
 
-* **Zero-cost when disabled** -- no observer attached means one
-  ``is not None`` check per instrumented site; the wall-clock benchmark
-  gates the overhead at <= 3%.
+* **Near zero-cost when disabled** -- no observer attached means one
+  ``is not None`` check per instrumented site.
 * **Bit-deterministic when enabled** -- the canonical projection
   (:func:`~repro.observe.canonical.canonical_json`) is byte-identical
-  across repeated seeded runs and for any host ``workers`` count; host
-  wall-clock data is opt-in (``host_time=True``) and always stripped
-  from canonical output.
+  across repeated seeded runs; host wall-clock data is opt-in
+  (``host_time=True``) and always stripped from canonical output.
 """
 
 from __future__ import annotations
@@ -101,21 +99,6 @@ class Observer:
     def to_prometheus(self, *, host: bool = True) -> str:
         """Prometheus text exposition of the metrics."""
         return to_prometheus(self, host=host)
-
-    # ------------------------------------------------------------------
-    # Engine hooks
-    # ------------------------------------------------------------------
-    def record_pool(self, stats) -> None:
-        """Publish an :class:`~repro.engine.evalpool.PoolStats` snapshot.
-
-        Host-side by nature (wall-clock seconds, inline/parallel split
-        depends on the worker count), so every gauge is ``host=True``
-        and none of it reaches canonical output.
-        """
-        for name, value in stats.as_dict().items():
-            self.metrics.gauge(
-                f"repro_pool_{name}", "evaluation-pool host counters", host=True
-            ).set(float(value))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Observer(spans={len(self.tracer)}, series={len(self.metrics)})"

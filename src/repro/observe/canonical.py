@@ -3,11 +3,9 @@
 Golden-trace fixtures compare *bytes*, so everything host-dependent has
 to go: ``host_t0``/``host_t1`` span timestamps, span attributes whose
 key starts with ``host_``, and metric families registered with
-``host=True`` (pool wall-clock seconds, inline/parallel batch splits --
-anything that legitimately varies with the host or the worker count).
-What remains is a pure function of simulated execution and therefore
-bit-identical across machines, across repeated seeded runs, and at any
-``workers`` value.
+``host=True`` (anything that legitimately varies with the host).  What
+remains is a pure function of simulated execution and therefore
+bit-identical across machines and across repeated seeded runs.
 
 Simulated times are IEEE doubles serialized via :func:`repr` semantics
 (``json.dumps`` uses ``float.__repr__``), which round-trips exactly --

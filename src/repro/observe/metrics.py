@@ -2,7 +2,6 @@
 
 The registry is the one place the engine's previously ad-hoc stat dicts
 (:class:`~repro.engine.memo.CacheStats`,
-:class:`~repro.engine.evalpool.PoolStats`,
 :class:`~repro.chaos.faults.FaultStats`,
 :class:`~repro.concurrency.WorkloadReport`) publish into when an
 :class:`~repro.observe.Observer` is attached; the stat classes remain as
@@ -10,12 +9,11 @@ compatibility shims and the reconciliation tests assert both views
 agree.
 
 Determinism contract: every instrument that feeds the *canonical*
-export is updated on the simulator main thread in dispatch order, from
-simulated quantities only, so exported values are bit-identical for any
-host worker count.  Host-side measurements (pool wall-clock seconds,
-inline-versus-parallel batch splits) are registered with ``host=True``
-and excluded from canonical output, exactly like host timestamps on
-spans.
+export is updated in dispatch order, from simulated quantities only, so
+exported values are bit-identical across repeated seeded runs.
+Host-side measurements (the live server's counters) are registered
+with ``host=True`` and excluded from canonical output, exactly like host
+timestamps on spans.
 
 Histograms use **fixed, explicit bucket bounds** -- never quantiles or
 adaptive bounds -- so their exported shape is a pure function of the

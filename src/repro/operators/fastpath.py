@@ -9,8 +9,8 @@ callable lets the property tests prove that equivalence on randomized
 inputs, and gives a one-line escape hatch if a regression ever needs to
 be bisected.
 
-The gate is process-global: evaluation-pool threads *read* it freely (a
-bool read is atomic under the GIL), but every *write* goes through the
+The gate is process-global: any host thread *reads* it freely (a bool
+read is atomic under the GIL), but every *write* goes through the
 module lock -- two overlapping :func:`disabled` blocks (e.g. pytest-run
 threads) must not be able to interleave their save/restore pairs and
 leave the gate stuck off.

@@ -4,22 +4,19 @@ The asyncio server never touches the simulator directly.  Admitted
 queries become :class:`concurrent.futures.Future` jobs on a queue; a
 single background thread drains the queue in micro-batches and runs
 each batch on a **fresh** :class:`~repro.engine.Simulator` that shares
-one :class:`~repro.engine.IntermediateCache` and one
-:class:`~repro.engine.EvalPool` across batches.  Queries that arrive
+one :class:`~repro.engine.IntermediateCache` across batches.  Queries that arrive
 together therefore contend for the same simulated machine -- the
 multi-core interference the paper studies emerges per batch -- while
 the plan cache and memo make repeated statements cheap on the host.
 
 ``canonical=True`` requests are executed solo with a fresh
 :class:`~repro.observe.Observer` and *without* the memo, so the
-canonical observation bytes depend only on (plan, config): identical
-for every worker count.  The integration suite uses this as its
-cross-worker oracle.
+canonical observation bytes depend only on (plan, config), whatever
+the engine ran before.  The integration suite uses this as its oracle.
 
 ``close()`` is graceful by construction: a sentinel is enqueued behind
-every accepted job, the thread finishes everything in front of it, and
-only then is the evaluation pool closed -- no orphaned workers, no
-abandoned futures.
+every accepted job and the thread finishes everything in front of it
+-- no abandoned futures.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SimulationConfig
-from ..engine import EvalPool, IntermediateCache, Simulator
+from ..engine import IntermediateCache, Simulator
 from ..errors import ReproError, ServeError
 from ..observe import Observer
 from ..sql import PlanCache
@@ -128,9 +125,7 @@ class _Job:
 class ServeEngine:
     """SQL text in, result payload futures out; one worker thread.
 
-    Parameters mirror :func:`repro.engine.execute`: ``workers``
-    configures the shared :class:`EvalPool` (``workers=1`` or ``None``
-    runs inline), ``memoize`` the shared intermediate cache.
+    ``memoize`` turns on the intermediate cache shared across batches.
     ``start()`` and ``close()`` are idempotent.
     """
 
@@ -139,7 +134,6 @@ class ServeEngine:
         config: SimulationConfig,
         catalog: Catalog | dict[str, Table],
         *,
-        workers: int | None = None,
         memoize: bool = True,
         max_batch: int = MAX_BATCH,
     ) -> None:
@@ -148,10 +142,8 @@ class ServeEngine:
         self.config = config
         self.plans = PlanCache(catalog)
         self.stats = EngineStats()
-        self._workers = workers
         self._memo = IntermediateCache() if memoize else None
         self._max_batch = max_batch
-        self._pool: EvalPool | None = None
         self._queue: queue.Queue = queue.Queue()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -171,8 +163,6 @@ class ServeEngine:
             if self._closed:
                 raise ServeError("engine is closed")
             if self._thread is None:
-                if (self._workers or 1) > 1:
-                    self._pool = EvalPool(self._workers)
                 self._thread = threading.Thread(
                     target=self._run, name="repro-serve-engine", daemon=True
                 )
@@ -180,7 +170,7 @@ class ServeEngine:
         return self
 
     def close(self) -> None:
-        """Drain every accepted job, stop the thread, close the pool.
+        """Drain every accepted job and stop the thread.
 
         Idempotent; jobs submitted after close are refused with
         :class:`ServeError`.
@@ -201,8 +191,6 @@ class ServeEngine:
                 break
             if job is not _STOP:
                 job.future.set_exception(ServeError("engine closed"))
-        if self._pool is not None:
-            self._pool.close()
 
     # ------------------------------------------------------------------
     # submission
@@ -284,7 +272,7 @@ class ServeEngine:
         job.future.set_exception(exc)
 
     def _execute_plain(self, jobs: list[_Job]) -> None:
-        sim = Simulator(self.config, memo=self._memo, evalpool=self._pool)
+        sim = Simulator(self.config, memo=self._memo)
         failures: dict[int, Exception] = {}
         submitted: list[tuple[_Job, int]] = []
         for job in jobs:
@@ -324,14 +312,14 @@ class ServeEngine:
 
     def _execute_canonical(self, job: _Job) -> None:
         # Solo run, fresh observer, no memo: canonical bytes depend on
-        # (plan, config) only -- worker- and history-invariant.
+        # (plan, config) only -- history-invariant.
         try:
             plan = self.plans.template(job.sql).copy()
         except ReproError as exc:
             self._fail(job, exc)
             return
         obs = Observer()
-        sim = Simulator(self.config, evalpool=self._pool, observe=obs)
+        sim = Simulator(self.config, observe=obs)
         sid = sim.submit(plan, client="canonical", max_threads=job.max_threads)
         try:
             sim.run()

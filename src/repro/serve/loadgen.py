@@ -182,7 +182,6 @@ def build_service(
     config: SimulationConfig | None = None,
     catalog: Catalog | None = None,
     directory: TenantDirectory | None = None,
-    workers: int | None = None,
     metrics: MetricsRegistry | None = None,
     metrics_lock=None,
 ) -> TenantLoadService:
@@ -216,7 +215,6 @@ def build_service(
         horizon=spec.horizon,
         faults=chaos_plan(spec.chaos),
         max_in_flight=spec.max_in_flight,
-        workers=workers,
         chaos_label=spec.chaos,
         metrics=metrics,
         metrics_lock=metrics_lock,
@@ -226,17 +224,11 @@ def build_service(
 def run_loadgen(
     spec: LoadgenSpec,
     *,
-    workers: int | None = None,
     metrics: MetricsRegistry | None = None,
     metrics_lock=None,
 ) -> ServeReport:
     """Run ``spec`` to completion and return its deterministic report."""
-    service = build_service(
-        spec,
-        workers=workers,
-        metrics=metrics,
-        metrics_lock=metrics_lock,
-    )
+    service = build_service(spec, metrics=metrics, metrics_lock=metrics_lock)
     return service.run(seed=spec.seed)
 
 

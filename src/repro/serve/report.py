@@ -4,8 +4,7 @@ The report is the service layer's bit-reproducibility surface: every
 number in :meth:`ServeReport.as_dict` is a pure function of simulated
 execution (latencies are simulated seconds, counters come from the
 deterministic scheduler), so one seed produces byte-identical JSON on
-any host, at any worker count, with or without the evaluation pool --
-the golden fixtures under ``tests/serve/golden/`` compare exactly
+any host -- the golden fixtures under ``tests/serve/golden/`` compare exactly
 those bytes.
 
 It also reconciles with the resilience layer:

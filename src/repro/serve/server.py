@@ -13,8 +13,8 @@ The server binds ``port=0`` by default -- the kernel picks a free
 port, reported via :attr:`ReproServer.port` -- so parallel test runs
 never collide.  ``start()``/``stop()`` are idempotent; ``stop()``
 drains in-flight queries (their responses are still written), refuses
-new ones with a ``rejected`` error, and closes the engine's evaluation
-pool without orphaning workers.
+new ones with a ``rejected`` error, and closes the engine after its
+queue drains.
 
 Live serving runs in *host* time: latencies observed through sockets
 are not byte-reproducible.  The deterministic twin -- same scheduler,
@@ -83,13 +83,12 @@ class ReproServer:
         tenants: TenantDirectory | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int | None = None,
         max_in_flight: int | None = None,
         engine: ServeEngine | None = None,
     ) -> None:
         self.config = config
         self.directory = tenants if tenants is not None else default_tenants()
-        self.engine = engine or ServeEngine(config, catalog, workers=workers)
+        self.engine = engine or ServeEngine(config, catalog)
         if max_in_flight is None:
             max_in_flight = 2 * config.machine.hardware_threads
         self.scheduler = FairScheduler(
@@ -139,7 +138,7 @@ class ReproServer:
         Idempotent.  Order matters: (1) stop accepting connections and
         refuse new admissions, (2) wait for every admitted query's
         response to be written, (3) close the engine -- which drains
-        its own queue and shuts the evaluation pool down -- and only
+        its own queue and stops its thread -- and only
         then (4) tear down idle client connections.
         """
         if self._stopping:

@@ -65,7 +65,6 @@ class TenantLoadService:
         horizon: float = 2.0,
         faults: FaultInjector | FaultPlan | None = None,
         max_in_flight: int | None = None,
-        workers: int | None = None,
         chaos_label: str | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_lock: threading.Lock | None = None,
@@ -93,7 +92,6 @@ class TenantLoadService:
             chaos_label = "none" if faults is None else "injected"
         self.chaos_label = chaos_label
         self.max_in_flight = max_in_flight
-        self.workers = workers
         # Live metrics (optional): pure bookkeeping -- the report never
         # reads from here, so determinism is untouched.
         self.metrics = metrics
@@ -127,7 +125,6 @@ class TenantLoadService:
             seed=config.derive_seed("serve.clients"),
             faults=self.faults,
             max_in_flight=self.max_in_flight,
-            workers=self.workers,
             metrics=self.metrics,
             metrics_lock=self.metrics_lock,
         )

@@ -134,8 +134,8 @@ class ColumnSlice:
         The array is materialized once and cached (read-only), so
         repeated projections over the same pass-through slice share one
         buffer instead of re-running ``np.arange``.  The lazy build is
-        idempotent, so the unlocked benign race under the evaluation
-        pool at worst builds the array twice.
+        idempotent, so two host threads racing on it at worst build
+        the array twice.
         """
         oids = self._oids
         if oids is None:

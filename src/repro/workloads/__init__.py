@@ -17,7 +17,13 @@ from .micro import (
     skewed_select_workload,
 )
 from .tpcds import ALL_DS_QUERIES, TpcdsDataset
-from .tpch import ALL_QUERIES, COMPLEX_QUERIES, SIMPLE_QUERIES, TpchDataset
+from .tpch import (
+    ALL_QUERIES,
+    COMPLEX_QUERIES,
+    SIMPLE_QUERIES,
+    TpchDataset,
+    q1_style_plan,
+)
 
 __all__ = [
     "ALL_DS_QUERIES",
@@ -32,6 +38,7 @@ __all__ = [
     "choice_strings",
     "clustered_skew",
     "join_micro_workload",
+    "q1_style_plan",
     "select_micro_workload",
     "sequential_keys",
     "skewed_select_workload",

@@ -30,6 +30,7 @@ from ..config import MachineSpec, SimulationConfig, two_socket_machine
 from ..errors import WorkloadError
 from ..operators.aggregate import Aggregate
 from ..operators.calc import Calc
+from ..operators.groupby import GroupAggregate
 from ..operators.join import SemiJoin
 from ..operators.literal import Literal
 from ..operators.project import Fetch, HeadsOf
@@ -380,3 +381,35 @@ class TpchDataset:
               AND c_custkey NOT IN (SELECT o_custkey FROM orders)
             """
         )
+
+
+def q1_style_plan(dataset: TpchDataset) -> Plan:
+    """A TPC-H Q1-style aggregation over lineitem.
+
+    Date-range select, three fetches, an arithmetic calc, and two
+    grouped aggregates over a low-cardinality key -- the classic
+    scan-heavy reporting shape Q1 exercises (the generated lineitem has
+    no returnflag/linestatus, so ``l_tax`` serves as the group key).
+    """
+    cat = dataset.catalog
+    shipdate = cat.column("lineitem", "l_shipdate")
+    # Data-driven cutoff at ~70% selectivity keeps the plan meaningful
+    # at every scale factor without hard-coding the date encoding.
+    cutoff = float(np.percentile(shipdate.values, 70))
+    plan = Plan()
+
+    def scan(table: str, column: str) -> PlanNode:
+        return plan.add(Scan(cat.column(table, column)), label=f"{table}.{column}")
+
+    cands = plan.add(
+        Select(RangePredicate(hi=cutoff, hi_inclusive=False)),
+        [scan("lineitem", "l_shipdate")],
+    )
+    keys = plan.add(Fetch(), [cands, scan("lineitem", "l_tax")])
+    price = plan.add(Fetch(), [cands, scan("lineitem", "l_extendedprice")])
+    disc = plan.add(Fetch(), [cands, scan("lineitem", "l_discount")])
+    volume = plan.add(Calc("*"), [price, disc])
+    sums = plan.add(GroupAggregate("sum"), [keys, volume])
+    counts = plan.add(GroupAggregate("count"), [keys])
+    plan.set_outputs([sums, counts])
+    return plan

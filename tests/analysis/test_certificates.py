@@ -1,21 +1,18 @@
-"""Certificate registry: golden fixture, coverage, and fail-closed gating."""
+"""Certificate registry: golden fixture, coverage, and lookup."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import pytest
 
 from repro.analysis.certificates import (
     CERTIFICATE_VERSION,
     CertificateRegistry,
     build_registry,
     certify_type,
-    default_registry,
     registered_operator_classes,
 )
-from repro.errors import UncertifiedKernelError
 from repro.operators.base import Operator, WorkProfile
 from repro.storage import LNG, Scalar
 
@@ -77,7 +74,7 @@ class TestRegistryCoverage:
             assert cls.__name__ in names
 
     def test_every_registered_operator_is_pure(self):
-        # The repo invariant behind host-parallel evaluation: every
+        # The repo invariant behind memo reuse of intermediates: every
         # shipped kernel certifies pure.
         for cert in build_registry().certificates():
             assert cert.pure, f"{cert.operator}: {cert.issues}"
@@ -91,9 +88,6 @@ class TestRegistryCoverage:
         # pairs. Spot-check both directions to pin the analysis down.
         assert "Scan" in views
         assert "Join" not in views
-
-    def test_default_registry_is_a_singleton(self):
-        assert default_registry() is default_registry()
 
 
 class TestCertifyType:
@@ -125,17 +119,7 @@ class TestCertifyType:
         ]
 
 
-class TestFailClosedGate:
-    def test_check_passes_pure_operator(self):
-        registry = CertificateRegistry()
-        cert = registry.check(PureScalarOperator())
-        assert cert.pure
-
-    def test_check_refuses_impure_operator(self):
-        registry = CertificateRegistry()
-        with pytest.raises(UncertifiedKernelError, match="instance state"):
-            registry.check(SelfMutatingOperator())
-
+class TestRegistryLookup:
     def test_unknown_class_is_certified_on_demand(self):
         registry = CertificateRegistry()
         assert registry.get(PureScalarOperator).pure
@@ -144,7 +128,7 @@ class TestFailClosedGate:
             PureScalarOperator
         )
 
-    def test_loaded_certificates_gate_by_name(self):
+    def test_loaded_certificates_are_found_by_name(self):
         doc = {
             "version": CERTIFICATE_VERSION,
             "certificates": [
@@ -160,5 +144,6 @@ class TestFailClosedGate:
             ],
         }
         registry = CertificateRegistry.from_document(doc)
-        with pytest.raises(UncertifiedKernelError, match="revoked"):
-            registry.check(PureScalarOperator())
+        cert = registry.get(PureScalarOperator)
+        assert not cert.pure
+        assert cert.issues == ("revoked by test",)

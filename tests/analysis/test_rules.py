@@ -59,7 +59,7 @@ class TestRepoIsClean:
         assert exit_code(report, strict=True) == 0
 
     def test_host_only_modules_keep_their_clock_allowance(self):
-        # evalpool/observe/bench legitimately read the host clock; the
+        # observe/bench legitimately read the host clock; the
         # allowlist must keep them out of determinism.host-time.
         report = analyze_files([default_package_path()])
         assert not report.by_rule("determinism.host-time")

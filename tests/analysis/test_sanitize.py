@@ -253,25 +253,21 @@ class TestChecksumCaches:
 class TestSanitizedExecution:
     def test_sneaky_kernel_certifies_pure(self):
         # The premise of the runtime layer: this mutator is invisible to
-        # the static pass (np.add.at), so the gate admits it...
+        # the static pass (np.add.at), so it certifies pure...
         assert certify_type(SneakyMutator).pure
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_sanitizer_catches_the_mutation(self, config, workers):
-        # ...and the sanitizer catches it at any worker count.
+    def test_sanitizer_catches_the_mutation(self, config):
+        # ...and the sanitizer catches it at run time.
         with pytest.raises(SanitizerError, match="mutated a shared input"):
-            execute(sneaky_plan(), config, workers=workers, sanitize=True)
+            execute(sneaky_plan(), config, sanitize=True)
 
     def test_mutation_goes_unnoticed_without_sanitizer(self, config):
         result = execute(sneaky_plan(64), config)
         # sum(0..63) + 1 from the sneaky in-place increment.
         assert result.outputs[0].value == sum(range(64)) + 1
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_clean_plans_pass_clean(self, config, small_catalog, workers):
-        result = execute(
-            clean_plan(small_catalog), config, workers=workers, sanitize=True
-        )
+    def test_clean_plans_pass_clean(self, config, small_catalog):
+        result = execute(clean_plan(small_catalog), config, sanitize=True)
         assert result.outputs[0].value > 0
 
     def test_env_var_enables_sanitizer(self, config, monkeypatch):
@@ -286,10 +282,8 @@ class TestSanitizedExecution:
 
 
 class TestDualRun:
-    def test_clean_plan_has_worker_invariant_fingerprint(
-        self, config, small_catalog
-    ):
-        fp = verify_dual_run(clean_plan(small_catalog), config, workers=4)
+    def test_clean_plan_has_repeatable_fingerprint(self, config, small_catalog):
+        fp = verify_dual_run(clean_plan(small_catalog), config)
         assert len(fp) == 8
         int(fp, 16)  # well-formed hex
 
@@ -298,8 +292,8 @@ class TestDualRun:
         # reproducibility is an invariant of one plan instance (rebuilt
         # or copied plans renumber and legitimately differ).
         plan = clean_plan(small_catalog)
-        first = verify_dual_run(plan, config, workers=2)
-        second = verify_dual_run(plan, config, workers=2)
+        first = verify_dual_run(plan, config)
+        second = verify_dual_run(plan, config)
         assert first == second
 
     def test_fingerprints_differ_across_plans(self, config, small_catalog):
@@ -307,9 +301,9 @@ class TestDualRun:
         other = builder.build(
             builder.aggregate("count", builder.scan("facts", "qty"))
         )
-        assert verify_dual_run(
-            clean_plan(small_catalog), config, workers=2
-        ) != verify_dual_run(other, config, workers=2)
+        assert verify_dual_run(clean_plan(small_catalog), config) != (
+            verify_dual_run(other, config)
+        )
 
     def test_stats_count_batches_and_commits(self, config, small_catalog):
         from repro.engine import Simulator
@@ -334,5 +328,5 @@ def test_scan_select_pipeline_cannot_mutate_base_columns(config):
     scan = plan.add(Scan(col))
     sel = plan.add(Select(RangePredicate(hi=250)), [scan])
     plan.set_outputs([plan.add(Aggregate("count"), [sel])])
-    execute(plan, config, workers=2, sanitize=True)
+    execute(plan, config, sanitize=True)
     assert col.values.tobytes() == before

@@ -60,7 +60,6 @@ def run_workload(
     resilience=None,
     clients=6,
     horizon=2.0,
-    workers=None,
     max_in_flight=None,
 ):
     workload = ResilientWorkload(
@@ -70,7 +69,6 @@ def run_workload(
         faults=faults,
         resilience=resilience,
         max_in_flight=max_in_flight,
-        workers=workers,
     )
     return workload.run()
 
@@ -89,17 +87,15 @@ class TestResilienceConfig:
 
 
 class TestResilientWorkload:
-    def test_fault_free_matches_plain_closed_loop_shape(
-        self, config, plan, host_workers
-    ):
-        report = run_workload(config, plan, workers=host_workers)
+    def test_fault_free_matches_plain_closed_loop_shape(self, config, plan):
+        report = run_workload(config, plan)
         assert report.completed() > 0
         assert report.faults_injected == 0
         assert report.retries == 0
         assert report.fault_schedule == ()
 
     def test_throughput_degrades_monotonically_with_fault_rate(
-        self, config, plan, host_workers
+        self, config, plan
     ):
         def chaos(scale: float) -> FaultPlan | None:
             if scale == 0.0:
@@ -114,9 +110,7 @@ class TestResilientWorkload:
             )
 
         throughputs = [
-            run_workload(
-                config, plan, faults=chaos(scale), workers=host_workers
-            ).throughput()
+            run_workload(config, plan, faults=chaos(scale)).throughput()
             for scale in (0.0, 1.0, 3.0)
         ]
         assert throughputs[0] > 0
@@ -138,7 +132,7 @@ class TestResilientWorkload:
         assert report.peak_queue_depth > 0
         assert report.completed() > 0
 
-    def test_no_client_starves_under_chaos(self, config, plan, host_workers):
+    def test_no_client_starves_under_chaos(self, config, plan):
         faults = FaultPlan(
             operator_exception_rate=0.01,
             straggler_rate=0.08,
@@ -152,7 +146,6 @@ class TestResilientWorkload:
             faults=faults,
             resilience=ResilienceConfig(timeout=1.0),
             max_in_flight=3,
-            workers=host_workers,
         )
         for i in range(8):
             assert report.completed(f"c{i}") > 0, f"client c{i} starved"
@@ -171,28 +164,6 @@ class TestResilientWorkload:
         assert report.shed_dop > 0
         # Even with aggressive timeouts some queries finish in time.
         assert report.completed() > 0
-
-    def test_reports_bit_identical_across_workers(self, config, plan):
-        faults = FaultPlan(
-            operator_exception_rate=0.01,
-            straggler_rate=0.05,
-            mem_pressure_rate=0.03,
-            disconnect_rate=0.03,
-        )
-        resilience = ResilienceConfig(timeout=0.8)
-        reports = [
-            run_workload(
-                config,
-                plan,
-                faults=faults,
-                resilience=resilience,
-                horizon=1.0,
-                workers=workers,
-            ).as_dict()
-            for workers in (None, 2, 8)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-        assert reports[0]["faults_injected"] > 0
 
     def test_run_is_repeatable(self, config, plan):
         faults = FaultPlan(straggler_rate=0.1, disconnect_rate=0.05)

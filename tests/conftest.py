@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -65,15 +63,3 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def regen_golden(request: pytest.FixtureRequest) -> bool:
     """True when the run should rewrite golden fixtures, not assert."""
     return bool(request.config.getoption("--regen-golden"))
-
-
-@pytest.fixture()
-def host_workers() -> int | None:
-    """Evaluation-pool width for suites honoring the CI chaos matrix.
-
-    The chaos-matrix CI job runs the chaos/resilience suites with
-    ``REPRO_TEST_WORKERS`` set to 1 and 2; simulated results must be
-    bit-identical either way.  Unset locally (= inline evaluation).
-    """
-    value = os.environ.get("REPRO_TEST_WORKERS")
-    return int(value) if value else None

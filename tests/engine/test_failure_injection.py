@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig, laptop_machine
-from repro.engine import EvalPool, IntermediateCache, Simulator, execute
+from repro.engine import IntermediateCache, Simulator, execute
 from repro.errors import OperatorError, ReproError
 from repro.operators import Aggregate, RangePredicate, Scan, Select
 from repro.operators.base import Operator, WorkProfile
@@ -16,12 +16,7 @@ from repro.storage import LNG, Column
 
 
 class ExplodingOperator(Operator):
-    """Raises on every evaluation.
-
-    Deliberately *pure* (raising is not an effect): the parallel-safety
-    gate must let it onto the pool so these tests exercise how failures
-    travel through batches, not how uncertified kernels are refused.
-    """
+    """Raises on every evaluation."""
 
     kind = "exploding"
 
@@ -42,6 +37,13 @@ def failing_plan() -> Plan:
     boom = plan.add(ExplodingOperator())
     plan.set_outputs([boom])
     return plan
+
+
+def good_plan(catalog) -> Plan:
+    builder = PlanBuilder(catalog)
+    return builder.build(
+        builder.aggregate("count", builder.scan("facts", "val"))
+    )
 
 
 class TestOperatorFailures:
@@ -77,70 +79,7 @@ class TestOperatorFailures:
         with pytest.raises(OperatorError):
             AdaptiveParallelizer(config).optimize(failing_plan())
 
-
-def good_plan(catalog) -> Plan:
-    builder = PlanBuilder(catalog)
-    return builder.build(
-        builder.aggregate("count", builder.scan("facts", "val"))
-    )
-
-
-class TestEvalPoolFailures:
-    """Operator exceptions with host-parallel evaluation active.
-
-    The commit barrier settles failures in dispatch (= submission)
-    order regardless of which host thread hit them, and a failed
-    submission must not poison the pool, the memo, or the simulator.
-    """
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_failure_propagates_under_pool(self, config, workers):
-        with pytest.raises(OperatorError, match="injected"):
-            execute(failing_plan(), config, workers=workers)
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_first_submissions_error_raised_first(self, config, workers):
-        class Exploding(ExplodingOperator):
-            def __init__(self, tag: str) -> None:
-                super().__init__()
-                self.tag = tag
-
-            def evaluate(self, inputs):
-                raise OperatorError(f"boom-{self.tag}")
-
-        def tagged(tag: str) -> Plan:
-            plan = Plan()
-            plan.set_outputs([plan.add(Exploding(tag))])
-            return plan
-
-        with EvalPool(workers) as pool:
-            simulator = Simulator(config, evalpool=pool)
-            simulator.submit(tagged("first"))
-            simulator.submit(tagged("second"))
-            with pytest.raises(OperatorError, match="boom-first"):
-                simulator.run()
-            # The second submission's failure is still pending; the
-            # event loop surfaces it on the next drive.
-            with pytest.raises(OperatorError, match="boom-second"):
-                simulator.run()
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_simulator_reusable_after_pool_failure(
-        self, config, small_catalog, workers
-    ):
-        with EvalPool(workers) as pool:
-            simulator = Simulator(config, evalpool=pool)
-            simulator.submit(failing_plan())
-            with pytest.raises(OperatorError):
-                simulator.run()
-            # The same simulator instance keeps working.
-            sid = simulator.submit(good_plan(small_catalog))
-            simulator.run()
-            result = simulator.result(sid)
-            assert result.outputs[0].value == len(small_catalog.table("facts"))
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_memo_consistent_after_failure(self, config, small_catalog, workers):
+    def test_memo_consistent_after_failure(self, config, small_catalog):
         memo = IntermediateCache()
         builder = PlanBuilder(small_catalog)
         sel = builder.select(
@@ -152,10 +91,10 @@ class TestEvalPoolFailures:
             [poisoned.outputs[0], poisoned.add(ExplodingOperator())]
         )
         with pytest.raises(OperatorError):
-            execute(poisoned, config, memo=memo, workers=workers)
+            execute(poisoned, config, memo=memo)
         # Entries cached by the failed run replay to the exact values a
         # memo-free execution computes.
-        cached = execute(plan.copy(), config, memo=memo, workers=workers)
+        cached = execute(plan.copy(), config, memo=memo)
         fresh = execute(plan.copy(), config)
         assert cached.outputs[0].value == fresh.outputs[0].value
         assert cached.response_time == fresh.response_time

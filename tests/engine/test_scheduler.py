@@ -7,11 +7,12 @@ import pytest
 
 from repro.config import NoiseConfig, SimulationConfig, laptop_machine
 from repro.core.heuristic import HeuristicParallelizer
-from repro.engine import Simulator, execute
-from repro.errors import SchedulerError
+from repro.engine import EvalFailure, Simulator, execute, settle_job
+from repro.errors import OperatorError, SchedulerError
 from repro.operators import Aggregate, Fetch, RangePredicate, Scan, Select
+from repro.operators.base import Operator, WorkProfile
 from repro.plan import Plan, PlanBuilder
-from repro.storage import Column, LNG, Table, Catalog
+from repro.storage import LNG, Catalog, Column, Scalar, Table
 
 
 def pipeline_plan(catalog: Catalog) -> Plan:
@@ -220,3 +221,77 @@ class TestMemoryAccounting:
         assert hi.profile.peak_memory_bytes == pytest.approx(
             100 * lo.profile.peak_memory_bytes, rel=1e-6
         )
+
+
+class _Exploding(Operator):
+    """Raises ``boom-<tag>`` on every evaluation."""
+
+    kind = "exploding"
+
+    def __init__(self, tag: str) -> None:
+        super().__init__()
+        self.tag = tag
+
+    def evaluate(self, inputs):
+        raise OperatorError(f"boom-{self.tag}")
+
+    def work_profile(self, inputs, output) -> WorkProfile:
+        return WorkProfile(tuples_out=1)
+
+
+class _Recording(Operator):
+    """Appends its tag to a shared log when evaluated."""
+
+    kind = "recording"
+
+    def __init__(self, log: list[str], tag: str) -> None:
+        super().__init__()
+        self.log = log
+        self.tag = tag
+
+    def evaluate(self, inputs):
+        self.log.append(self.tag)
+        return Scalar(1, LNG)
+
+    def work_profile(self, inputs, output) -> WorkProfile:
+        return WorkProfile(tuples_out=1)
+
+
+class TestDispatchFailures:
+    """Operator exceptions settle in the evaluate step of a dispatch round
+    and are resolved by the dispatch-order commit."""
+
+    def test_settled_failure_does_not_abort_siblings(self, sim_config):
+        def boom():
+            raise ValueError("boom")
+
+        failed = settle_job(boom)()
+        assert isinstance(failed, EvalFailure)
+        assert isinstance(failed.error, ValueError)
+        assert settle_job(lambda: 2)() == 2
+        # In the simulator: the raising operator is dispatched first, and
+        # its sibling in the same round is still evaluated.
+        log: list[str] = []
+        plan = Plan()
+        plan.set_outputs([plan.add(_Exploding("a")), plan.add(_Recording(log, "b"))])
+        simulator = Simulator(sim_config)
+        simulator.submit(plan)
+        with pytest.raises(OperatorError, match="boom-a"):
+            simulator.run()
+        assert log == ["b"]
+
+    def test_first_error_in_dispatch_order_is_raised(self, sim_config):
+        def tagged(tag: str) -> Plan:
+            plan = Plan()
+            plan.set_outputs([plan.add(_Exploding(tag))])
+            return plan
+
+        simulator = Simulator(sim_config)
+        simulator.submit(tagged("first"))
+        simulator.submit(tagged("second"))
+        with pytest.raises(OperatorError, match="boom-first"):
+            simulator.run()
+        # The second submission's failure is still pending; the event
+        # loop surfaces it on the next drive.
+        with pytest.raises(OperatorError, match="boom-second"):
+            simulator.run()

@@ -1,14 +1,10 @@
 """THE determinism matrix: every observable, every execution surface.
 
-One consolidated sweep replaces the per-suite loops that used to live in
-``tests/engine/test_backends.py`` (execute / adaptive / chaos canonical
-bytes) and ``tests/serve/test_loadgen_determinism.py`` (worker-count
-invariance).  Each *scenario* reduces a run to a canonical byte
-fingerprint (blake2b over worker-invariant bytes).  The inline,
-workers=1 baseline of every scenario is pinned as a literal digest, so
-drift in the inline path itself fails too; each *cell* re-runs the
-scenario on the thread pool at a different worker count and must
-reproduce that digest exactly.
+Each *scenario* reduces a run to a canonical byte fingerprint (blake2b
+over its canonical bytes).  The digest of every scenario is pinned as a
+literal, so any drift in simulated results or canonical output fails,
+and each scenario is re-run in the same process and must reproduce its
+digest exactly.
 
 Scenario axes covered:
 
@@ -40,18 +36,15 @@ from repro.cluster import (
 )
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
 from repro.core import AdaptiveParallelizer, ConvergenceParams
-from repro.engine import EvalPool, execute
+from repro.engine import execute
 from repro.observe import Observer
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 from repro.serve import preset, run_loadgen
 from repro.workloads import JoinMicroWorkload
 
-#: Thread-pool worker counts checked against the inline baseline.
-CELLS = (2, 8)
-
-#: The inline, workers=1 digest of every scenario.  A change here is a
-#: change to simulated results or canonical bytes: a bug, not a refresh.
+#: The digest of every scenario.  A change here is a change to simulated
+#: results or canonical bytes: a bug, not a refresh.
 PINNED = {
     "adaptive_memo": "9d4ac7875ed4801f389f1c1fbbfcb7b3",
     "chaos_resilient": "9c716bbe5a27db5af12d7a4e7c7b0c13",
@@ -78,8 +71,8 @@ def _q1_style_plan(catalog):
     return builder.build(builder.aggregate("sum", proj))
 
 
-def _scenario_execute(workers, small_catalog, sim_config):
-    result = execute(_q1_style_plan(small_catalog), sim_config, workers=workers)
+def _scenario_execute(small_catalog, sim_config):
+    result = execute(_q1_style_plan(small_catalog), sim_config)
     return _digest(
         _json(
             {
@@ -90,12 +83,11 @@ def _scenario_execute(workers, small_catalog, sim_config):
     )
 
 
-def _scenario_adaptive_memo(workers, small_catalog, sim_config):
+def _scenario_adaptive_memo(small_catalog, sim_config):
     workload = JoinMicroWorkload(outer_mb=64, inner_mb=16)
     parallelizer = AdaptiveParallelizer(
         workload.sim_config(seed=11),
         convergence=ConvergenceParams(number_of_cores=8, max_runs=6),
-        workers=workers,
     )
     try:
         result = parallelizer.optimize(workload.plan())
@@ -120,7 +112,7 @@ def _scenario_adaptive_memo(workers, small_catalog, sim_config):
 CHAOS_RESILIENT_REPORT = "12e9cd546d860630a8b97ae9f36f1fd0"
 
 
-def _chaos_resilient_run(workers, observer=None):
+def _chaos_resilient_run(observer=None):
     workload = JoinMicroWorkload(outer_mb=16, inner_mb=4)
     service = ResilientWorkload(
         workload.sim_config(),
@@ -131,21 +123,20 @@ def _chaos_resilient_run(workers, observer=None):
         horizon=2.0,
         faults=CHAOS_LIGHT,
         resilience=ResilienceConfig(timeout=0.05),
-        workers=workers,
         observe=observer,
     )
     return service.run()
 
 
-def _scenario_chaos_resilient(workers, small_catalog, sim_config):
+def _scenario_chaos_resilient(small_catalog, sim_config):
     observer = Observer()
-    _chaos_resilient_run(workers, observer)
+    _chaos_resilient_run(observer)
     observer.finish()
     return _digest(observer.canonical_json())
 
 
-def _scenario_serve(workers, small_catalog, sim_config):
-    report = run_loadgen(preset("tiny"), workers=workers)
+def _scenario_serve(small_catalog, sim_config):
+    report = run_loadgen(preset("tiny"))
     return _digest(json.dumps(report.as_dict(), sort_keys=True))
 
 
@@ -153,7 +144,7 @@ def _cluster_workload():
     return ScaleoutWorkload(tuples_m=10)
 
 
-def _scenario_cluster(workers, nodes):
+def _scenario_cluster(nodes):
     workload = _cluster_workload()
     cluster = workload.cluster(nodes, threads=4)
     observer = Observer()
@@ -161,7 +152,6 @@ def _scenario_cluster(workers, nodes):
         workload.plan(workload.sharded(nodes)),
         cluster,
         workload.sim_config(cluster),
-        workers=workers,
         trace=observer,
     )
     observer.finish()
@@ -176,7 +166,7 @@ def _scenario_cluster(workers, nodes):
     )
 
 
-def _scenario_cluster_failover(workers, small_catalog, sim_config):
+def _scenario_cluster_failover(small_catalog, sim_config):
     workload = _cluster_workload()
     cluster = workload.cluster(3, threads=4)
     faults = FaultPlan(
@@ -186,19 +176,13 @@ def _scenario_cluster_failover(workers, small_catalog, sim_config):
         disconnect_rate=0.0,
         max_faults=1,
     )
-    pool = EvalPool(workers) if workers > 1 else None
-    try:
-        outcome = execute_with_failover(
-            workload.plan_for_map,
-            workload.sharded(3).shard_map,
-            cluster,
-            workload.sim_config(cluster),
-            faults=faults,
-            evalpool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    outcome = execute_with_failover(
+        workload.plan_for_map,
+        workload.sharded(3).shard_map,
+        cluster,
+        workload.sim_config(cluster),
+        faults=faults,
+    )
     return _digest(
         _json(
             {
@@ -216,21 +200,21 @@ SCENARIOS = {
     "adaptive_memo": _scenario_adaptive_memo,
     "chaos_resilient": _scenario_chaos_resilient,
     "serve": _scenario_serve,
-    "cluster_nodes1": lambda w, *_: _scenario_cluster(w, 1),
-    "cluster_nodes3": lambda w, *_: _scenario_cluster(w, 3),
+    "cluster_nodes1": lambda *_: _scenario_cluster(1),
+    "cluster_nodes3": lambda *_: _scenario_cluster(3),
     "cluster_failover_chaos": _scenario_cluster_failover,
 }
 
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Lazily computed inline workers=1 digests, one per scenario."""
+    """Lazily computed digests, one per scenario."""
     return {}
 
 
 def _baseline(baselines, scenario, small_catalog, sim_config):
     if scenario not in baselines:
-        baselines[scenario] = SCENARIOS[scenario](1, small_catalog, sim_config)
+        baselines[scenario] = SCENARIOS[scenario](small_catalog, sim_config)
     return baselines[scenario]
 
 
@@ -276,23 +260,12 @@ def matrix_config():
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("workers", CELLS, ids=lambda w: f"thread-{w}")
-def test_matrix_cell_matches_baseline(
-    scenario, workers, matrix_catalog, matrix_config
-):
-    actual = SCENARIOS[scenario](workers, matrix_catalog, matrix_config)
-    assert actual == PINNED[scenario], (
-        f"scenario {scenario!r} diverged at workers={workers}"
-    )
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_matrix_baseline_matches_pinned(
     scenario, baselines, matrix_catalog, matrix_config
 ):
     actual = _baseline(baselines, scenario, matrix_catalog, matrix_config)
     assert actual == PINNED[scenario], (
-        f"inline scenario {scenario!r} drifted from its pinned digest"
+        f"scenario {scenario!r} drifted from its pinned digest"
     )
 
 
@@ -301,12 +274,12 @@ def test_matrix_baseline_is_repeatable(
     scenario, baselines, matrix_catalog, matrix_config
 ):
     expected = _baseline(baselines, scenario, matrix_catalog, matrix_config)
-    again = SCENARIOS[scenario](1, matrix_catalog, matrix_config)
+    again = SCENARIOS[scenario](matrix_catalog, matrix_config)
     assert again == expected
 
 
 def test_chaos_resilient_report_pinned():
-    report = _chaos_resilient_run(1)
+    report = _chaos_resilient_run()
     assert _digest(_json(report.as_dict())) == CHAOS_RESILIENT_REPORT
 
 
@@ -328,4 +301,4 @@ class TestClusterDegeneracy:
     def test_nodes_change_the_fingerprint(self):
         # Guard against a fingerprint that ignores the cluster: 3 nodes
         # must not hash like 1 node (different trace, different times).
-        assert _scenario_cluster(1, 1) != _scenario_cluster(1, 3)
+        assert _scenario_cluster(1) != _scenario_cluster(3)

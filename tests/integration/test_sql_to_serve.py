@@ -1,10 +1,9 @@
-"""Full stack, SQL text to served bytes, inline and on the thread pool.
+"""Full stack, SQL text to served bytes.
 
 The serving layer's headline claim: what a client receives for a given
-statement is a function of (statement, config) only -- not of whether
-kernels ran inline or on the evaluation thread pool, how many workers
-the host had, or what the server executed before.  These tests drive
-real sockets end to end and diff the bytes.
+statement is a function of (statement, config) only -- not of what the
+server executed before.  These tests drive real sockets end to end and
+diff the bytes.
 """
 
 from __future__ import annotations
@@ -27,41 +26,31 @@ Q6 = (
 )
 ACCTBAL = "SELECT COUNT(*) FROM customer WHERE c_acctbal > 0"
 
-#: Evaluation paths exercised cross-stack, by their ``workers`` value.
-BACKENDS = {"inline": None, "thread": 2}
-
-
-def _canonical_via_engine(backend: str, sql: str) -> str:
-    config = _tpch.sim_config()
-    engine = ServeEngine(
-        config, _tpch.catalog, workers=BACKENDS[backend]
-    ).start()
+def _canonical_via_engine(sql: str, *, warm: bool) -> str:
+    engine = ServeEngine(_tpch.sim_config(), _tpch.catalog).start()
     try:
-        # Warm the engine with unrelated traffic first: canonical bytes
-        # must not care about history.
-        engine.submit_sql(ACCTBAL).result(timeout=60)
+        if warm:
+            # Unrelated traffic first: canonical bytes must not care
+            # about history.
+            engine.submit_sql(ACCTBAL).result(timeout=60)
         payload = engine.submit_sql(sql, canonical=True).result(timeout=60)
     finally:
         engine.close()
     return payload["canonical"]
 
 
-class TestCanonicalAcrossBackends:
+class TestCanonicalAcrossHistory:
     @pytest.mark.parametrize("sql", [Q6, ACCTBAL], ids=["q6", "acctbal"])
     def test_engine_canonical_bytes_identical(self, sql):
-        baselines = {b: _canonical_via_engine(b, sql) for b in BACKENDS}
-        reference = baselines["inline"]
+        reference = _canonical_via_engine(sql, warm=False)
         assert reference.startswith("{")
-        for backend, canonical in baselines.items():
-            assert canonical == reference, backend
+        assert _canonical_via_engine(sql, warm=True) == reference
 
     def test_served_rows_identical_over_sockets(self):
-        """The NDJSON result document is byte-stable inline and pooled."""
+        """The NDJSON result document is byte-stable across servers."""
 
-        async def serve_one(backend: str) -> bytes:
-            server = ReproServer(
-                _tpch.sim_config(), _tpch.catalog, workers=BACKENDS[backend]
-            )
+        async def serve_one() -> bytes:
+            server = ReproServer(_tpch.sim_config(), _tpch.catalog)
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -91,22 +80,13 @@ class TestCanonicalAcrossBackends:
             return json.dumps(doc, sort_keys=True).encode()
 
         async def main() -> list[bytes]:
-            return [await serve_one(b) for b in BACKENDS]
+            return [await serve_one() for __ in range(2)]
 
-        results = asyncio.run(main())
-        assert all(r == results[0] for r in results[1:])
+        first, second = asyncio.run(main())
+        assert first == second
 
 
-class TestLoadgenAcrossBackends:
-    def test_tiny_report_identical_across_backends(self):
-        reports = {}
-        for backend, workers in BACKENDS.items():
-            report = run_loadgen(preset("tiny"), workers=workers)
-            reports[backend] = json.dumps(report.as_dict(), sort_keys=True)
-        reference = reports["inline"]
-        for backend, payload in reports.items():
-            assert payload == reference, backend
-
+class TestLoadgen:
     def test_report_against_serve_golden(self, regen_golden):
         """The integration run matches the fixture pinned in tests/serve."""
         from pathlib import Path

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.wallclock import q1_style_plan
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import execute
 from repro.observe import Observer
-from repro.workloads import JoinMicroWorkload, TpchDataset
+from repro.workloads import JoinMicroWorkload, TpchDataset, q1_style_plan
 
 #: Adaptive-run cap for the join-micro scenario: enough runs to cover
-#: mutations, memo hits, and the pool; small enough for CI.
+#: mutations and memo hits; small enough for CI.
 JOIN_MAX_RUNS = 5
 
 
@@ -28,27 +27,16 @@ def tpch_sf1() -> TpchDataset:
     return TpchDataset(scale_factor=1)
 
 
-def observe_q1(
-    dataset: TpchDataset,
-    *,
-    workers: int | None = None,
-    host_time: bool = False,
-) -> Observer:
+def observe_q1(dataset: TpchDataset, *, host_time: bool = False) -> Observer:
     """One traced execution of the Q1-style plan."""
     observer = Observer(host_time=host_time)
-    execute(
-        q1_style_plan(dataset),
-        dataset.sim_config(),
-        workers=workers,
-        trace=observer,
-    )
+    execute(q1_style_plan(dataset), dataset.sim_config(), trace=observer)
     observer.finish()
     return observer
 
 
 def observe_join_adaptive(
     *,
-    workers: int | None = None,
     memoize: bool = True,
     faults=None,
 ) -> Observer:
@@ -61,7 +49,6 @@ def observe_join_adaptive(
         convergence=ConvergenceParams(
             number_of_cores=config.effective_threads, max_runs=JOIN_MAX_RUNS
         ),
-        workers=workers,
         memoize=memoize,
         faults=faults,
         observe=observer,

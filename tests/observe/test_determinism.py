@@ -1,17 +1,15 @@
-"""The determinism matrix: canonical output is bit-identical at any
-``workers`` value, with and without memoization, and under CHAOS_LIGHT.
+"""The determinism matrix: canonical output is bit-identical across
+repeated seeded runs, with and without memoization, and under
+CHAOS_LIGHT.
 
-Bit-identity is asserted *within* each configuration cell (across
-worker counts and across repeated seeded runs); memoization on versus
-off legitimately differ in memo counters, never in spans or simulated
-times.
+Bit-identity is asserted *within* each configuration cell; memoization
+on versus off legitimately differ in memo counters, never in spans or
+simulated times.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.chaos import CHAOS_LIGHT
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
@@ -20,10 +18,8 @@ from repro.workloads import JoinMicroWorkload
 
 from tests.observe.conftest import observe_join_adaptive
 
-WORKER_GRID = [1, 2, 8]
 
-
-def _observe_service(workers: int | None, faults) -> Observer:
+def _observe_service(faults) -> Observer:
     workload = JoinMicroWorkload(outer_mb=16, inner_mb=4)
     config = workload.sim_config()
     observer = Observer()
@@ -33,22 +29,11 @@ def _observe_service(workers: int | None, faults) -> Observer:
         horizon=2.0,
         faults=faults,
         resilience=ResilienceConfig(timeout=0.05),
-        workers=workers,
         observe=observer,
     )
     service.run()
     observer.finish()
     return observer
-
-
-@pytest.mark.parametrize("memoize", [True, False])
-def test_adaptive_identical_across_workers(memoize):
-    baseline = observe_join_adaptive(workers=1, memoize=memoize).canonical_json()
-    for workers in WORKER_GRID[1:]:
-        assert (
-            observe_join_adaptive(workers=workers, memoize=memoize).canonical_json()
-            == baseline
-        )
 
 
 def test_adaptive_identical_across_repeats():
@@ -59,7 +44,7 @@ def test_adaptive_identical_across_repeats():
 
 
 def test_memoization_changes_bookkeeping_not_simulation():
-    """Memo on/off differ in cache/pool bookkeeping spans and counters,
+    """Memo on/off differ in cache bookkeeping spans and counters,
     never in what the simulation did: task and run spans (the simulated
     execution) are identical."""
     with_memo = json.loads(observe_join_adaptive(memoize=True).canonical_json())
@@ -80,32 +65,33 @@ def test_memoization_changes_bookkeeping_not_simulation():
     assert with_memo["metrics"][key] == without["metrics"][key]
 
 
-def test_chaos_light_identical_across_workers():
-    baseline = _observe_service(1, CHAOS_LIGHT).canonical_json()
-    for workers in WORKER_GRID[1:]:
-        assert _observe_service(workers, CHAOS_LIGHT).canonical_json() == baseline
+def test_chaos_light_identical_across_repeats():
+    first = _observe_service(CHAOS_LIGHT)
+    second = _observe_service(CHAOS_LIGHT)
+    assert first.canonical_json() == second.canonical_json()
 
 
 def test_chaos_light_fault_spans_present_and_ordered():
-    """Fault events appear in the trace, identically ordered at any
-    worker count (the injector draws on the main thread only)."""
-    observers = [_observe_service(w, CHAOS_LIGHT) for w in WORKER_GRID]
+    """Fault events appear in the trace, identically ordered in every
+    repeated run (the injector draws in dispatch order only)."""
     orders = []
-    for observer in observers:
+    for __ in range(2):
+        observer = _observe_service(CHAOS_LIGHT)
         faults = [s for s in observer.tracer.spans if s.kind == "fault"]
         assert faults, "CHAOS_LIGHT run produced no fault spans"
         orders.append([(s.span_id, s.name, s.t0) for s in faults])
-    assert orders[0] == orders[1] == orders[2]
+    assert orders[0] == orders[1]
 
 
-def test_clean_service_identical_across_workers():
-    baseline = _observe_service(1, None).canonical_json()
-    assert _observe_service(8, None).canonical_json() == baseline
-
-
-def test_adaptive_under_chaos_identical_across_workers():
-    baseline = observe_join_adaptive(workers=1, faults=CHAOS_LIGHT).canonical_json()
+def test_clean_service_identical_across_repeats():
     assert (
-        observe_join_adaptive(workers=8, faults=CHAOS_LIGHT).canonical_json()
-        == baseline
+        _observe_service(None).canonical_json()
+        == _observe_service(None).canonical_json()
+    )
+
+
+def test_adaptive_under_chaos_identical_across_repeats():
+    assert (
+        observe_join_adaptive(faults=CHAOS_LIGHT).canonical_json()
+        == observe_join_adaptive(faults=CHAOS_LIGHT).canonical_json()
     )

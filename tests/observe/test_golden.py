@@ -44,13 +44,6 @@ def test_join_micro_adaptive_golden(regen_golden):
     _check_golden("join_micro.json", observer.canonical_json(), regen_golden)
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_q1_style_workers_byte_identical(tpch_sf1, workers):
-    baseline = observe_q1(tpch_sf1).canonical_json()
-    pooled = observe_q1(tpch_sf1, workers=workers).canonical_json()
-    assert pooled == baseline
-
-
 def test_host_time_stripped_from_canonical(tpch_sf1):
     """``host_time=True`` changes nothing in the canonical projection."""
     plain = observe_q1(tpch_sf1)

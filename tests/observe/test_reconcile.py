@@ -1,7 +1,7 @@
 """Reconciliation: the registry agrees with the legacy stat shims.
 
-The metrics registry did not replace ``CacheStats``/``PoolStats``/
-``FaultStats``/``WorkloadReport`` -- they stay as compatibility shims.
+The metrics registry did not replace ``CacheStats``/``FaultStats``/
+``WorkloadReport`` -- they stay as compatibility shims.
 These tests pin the contract that both views of one run are the same
 numbers.
 """
@@ -69,23 +69,6 @@ def test_memo_counters_match_cache_stats(micro):
     assert metrics["repro_memo_insertions_total"] == stats.insertions
     assert metrics.get("repro_memo_evictions_total", 0.0) == stats.evictions
     assert stats.hits > 0  # adaptive reruns share almost the whole plan
-
-
-def test_pool_gauges_match_pool_stats(micro):
-    observer = Observer()
-    execute(micro.plan(), micro.sim_config(), workers=2, trace=observer)
-    metrics = observer.metrics.collect()
-    # record_pool publishes the PoolStats dict verbatim as host gauges,
-    # and every run_batch call also feeds the batch-size histogram.
-    assert metrics["repro_pool_batches"] == (
-        metrics["repro_pool_batch_jobs"]["count"]
-    )
-    assert metrics["repro_pool_jobs"] == metrics["repro_pool_batch_jobs"]["sum"]
-    assert 0 <= metrics["repro_pool_inline_jobs"] <= metrics["repro_pool_jobs"]
-    assert metrics["repro_pool_max_batch"] >= 1
-    # Host families never leak into canonical output.
-    canonical = observer.metrics.collect(host=False)
-    assert not any(key.startswith("repro_pool_") for key in canonical)
 
 
 def test_service_counters_match_workload_report(micro):

@@ -63,9 +63,7 @@ def fault_plans() -> st.SearchStrategy[FaultPlan]:
     )
 
 
-def run_workload(
-    seed: int, faults: FaultPlan, *, max_retries: int = 3, workers=None
-):
+def run_workload(seed: int, faults: FaultPlan, *, max_retries: int = 3):
     config = SimulationConfig(
         machine=laptop_machine(4), data_scale=100.0, seed=seed
     )
@@ -75,7 +73,6 @@ def run_workload(
         horizon=0.5,
         faults=faults,
         resilience=ResilienceConfig(timeout=0.4, max_retries=max_retries),
-        workers=workers,
     )
     return workload.run()
 
@@ -89,22 +86,6 @@ def test_same_seed_same_schedule_and_report(seed, faults):
     second = run_workload(seed, faults)
     assert first.fault_schedule == second.fault_schedule
     assert first.as_dict() == second.as_dict()
-
-
-@settings(
-    max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_workers_do_not_change_the_report(seed):
-    faults = FaultPlan(
-        operator_exception_rate=0.01,
-        straggler_rate=0.1,
-        mem_pressure_rate=0.05,
-        disconnect_rate=0.05,
-    )
-    serial = run_workload(seed, faults)
-    pooled = run_workload(seed, faults, workers=4)
-    assert serial.as_dict() == pooled.as_dict()
 
 
 @settings(

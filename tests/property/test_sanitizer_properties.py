@@ -3,7 +3,7 @@
 The certificate registry proves purity *statically*; these properties
 cross-check it dynamically: for arbitrary data and predicates, running a
 certified-pure pipeline under the sanitizer leaves every base column
-bit-identical and produces worker-invariant results.
+bit-identical and produces the results numpy computes directly.
 """
 
 from __future__ import annotations
@@ -42,16 +42,13 @@ def fetch_sum_plan(col: Column, hi: int) -> Plan:
 
 
 @settings(max_examples=25, deadline=None)
-@given(values=arrays, hi=small_ints, workers=st.sampled_from([2, 4]))
-def test_select_pipeline_leaves_buffers_bit_identical(values, hi, workers):
+@given(values=arrays, hi=small_ints)
+def test_select_pipeline_leaves_buffers_bit_identical(values, hi):
     col = Column("v", LNG, np.asarray(values, dtype=np.int64))
     before = col.values.tobytes()
-    serial = execute(select_count_plan(col, hi), CONFIG, sanitize=True)
-    parallel = execute(
-        select_count_plan(col, hi), CONFIG, workers=workers, sanitize=True
-    )
+    result = execute(select_count_plan(col, hi), CONFIG, sanitize=True)
     assert col.values.tobytes() == before
-    assert serial.outputs[0].value == parallel.outputs[0].value
+    assert result.outputs[0].value == sum(1 for v in values if v <= hi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -59,7 +56,7 @@ def test_select_pipeline_leaves_buffers_bit_identical(values, hi, workers):
 def test_fetch_pipeline_leaves_buffers_bit_identical(values, hi):
     col = Column("v", LNG, np.asarray(values, dtype=np.int64))
     before = col.values.tobytes()
-    result = execute(fetch_sum_plan(col, hi), CONFIG, workers=2, sanitize=True)
+    result = execute(fetch_sum_plan(col, hi), CONFIG, sanitize=True)
     assert col.values.tobytes() == before
     expected = int(sum(v for v in values if v <= hi))
     assert result.outputs[0].value == expected

@@ -3,7 +3,7 @@
 Socket tests always bind port 0 (the kernel picks a free port), so
 parallel test runs never collide; ``server_runner`` owns the full
 start/stop lifecycle so a failing test body cannot leak a listener or
-an evaluation-pool worker.
+the engine's worker thread.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def server_runner(serve_config, small_catalog):
         def test_x(server_runner):
             async def body(server):
                 ...
-            server_runner(body, workers=2)
+            server_runner(body, max_in_flight=2)
     """
 
     def run(body, *, config=None, catalog=None, **server_kw):

@@ -112,14 +112,6 @@ class TestLifecycle:
         with pytest.raises(ServeError, match="closed"):
             engine.submit_sql(COUNT_SQL)
 
-    def test_thread_pool_closed_with_engine(self, serve_config, small_catalog):
-        engine = ServeEngine(serve_config, small_catalog, workers=2).start()
-        engine.submit_sql(COUNT_SQL).result(timeout=30)
-        pool = engine._pool
-        assert pool is not None
-        engine.close()
-        assert pool._closed
-
     def test_engine_thread_survives_bad_sql(self, engine):
         with pytest.raises(SqlPlanError):
             engine.submit_sql("SELECT broken FROM facts").result(timeout=30)

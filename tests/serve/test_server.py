@@ -314,10 +314,10 @@ class TestGracefulShutdown:
 
         asyncio.run(main())
 
-    def test_no_orphaned_pool_workers(self, serve_config, small_catalog):
-        # Stopping the server must shut the engine's thread pool down.
+    def test_engine_thread_stopped_with_server(self, serve_config, small_catalog):
+        # Stopping the server must stop the engine's worker thread.
         async def main():
-            server = ReproServer(serve_config, small_catalog, workers=2)
+            server = ReproServer(serve_config, small_catalog)
             await server.start()
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
@@ -331,8 +331,8 @@ class TestGracefulShutdown:
             assert json.loads(await reader.readline())["ok"]
             writer.close()
             await writer.wait_closed()
+            assert server.engine.running
             await server.stop()
-            assert server.engine._pool is not None
-            assert server.engine._pool._closed
+            assert not server.engine.running
 
         asyncio.run(main())

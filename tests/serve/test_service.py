@@ -54,11 +54,6 @@ class TestDeterminism:
         b = _report_bytes(_run(serve_config, serve_plans))
         assert a == b
 
-    def test_worker_count_invariant(self, serve_config, serve_plans):
-        base = _report_bytes(_run(serve_config, serve_plans))
-        threaded = _report_bytes(_run(serve_config, serve_plans, workers=3))
-        assert base == threaded
-
     def test_chaos_run_byte_identical(self, serve_config, serve_plans):
         a = _report_bytes(_run(serve_config, serve_plans, faults=CHAOS_LIGHT))
         b = _report_bytes(_run(serve_config, serve_plans, faults=CHAOS_LIGHT))

@@ -305,51 +305,15 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
 
-    def test_bench_requires_name_or_wallclock(self, capsys):
+    def test_bench_requires_an_experiment(self, capsys):
         assert main(["bench"]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "--scaleout" in err
 
-    def test_bench_wallclock_quick(self, capsys, tmp_path):
-        out_file = tmp_path / "wallclock.json"
-        code = main(
-            [
-                "bench",
-                "--wallclock",
-                "--quick",
-                "--output",
-                str(out_file),
-                "--min-hit-rate",
-                "0.5",
-                "--workers",
-                "2",
-                "--max-worker-slowdown",
-                "2.0",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "tpch_q1_style" in out and "join_micro" in out
-        report = json.loads(out_file.read_text())
-        assert report["summary"]["all_identical"] is True
-        assert report["summary"]["min_hit_rate"] > 0.5
-        assert report["workers_swept"] == [1, 2]
-        for workload in report["workloads"]:
-            assert [run["workers"] for run in workload["cold"]] == [1, 2]
-            assert workload["stages"]["build_seconds"] >= 0
-            # The pooled run reports its host-side batch counters.
-            assert workload["cold"][1]["pool"]["jobs"] > 0
-
-    def test_bench_wallclock_gate_failure(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench",
-                "--wallclock",
-                "--quick",
-                "--output",
-                str(tmp_path / "w.json"),
-                "--min-hit-rate",
-                "0.999",
-            ]
-        )
-        assert code == 1
-        assert "hit rate" in capsys.readouterr().err
+    def test_bench_scaleout_default_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--scaleout", "--quick"]) == 0
+        assert "wrote BENCH_scaleout.json" in capsys.readouterr().out
+        report = json.loads((tmp_path / "BENCH_scaleout.json").read_text())
+        assert report["quick"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_scaleout.json"]
